@@ -96,8 +96,6 @@ class GuardPolicy:
         over the sampling noise of a small holdout (ordinary healthy
         retrains move a 24-image slice by up to ~4 images); the hardened
         profile tolerates no regression at all.
-    snapshot_ring_size:
-        Snapshots kept per expert (ring buffer, newest wins).
     sentinel:
         Install a :class:`DivergenceSentinel` around guarded retrains.
     max_update_ratio:
@@ -143,7 +141,6 @@ class GuardPolicy:
     regression_gate: bool = True
     holdout_size: int = 24
     regression_tolerance: float = 0.25
-    snapshot_ring_size: int = 3
     # Divergence sentinel.
     sentinel: bool = True
     max_update_ratio: float = 2.0
@@ -172,10 +169,6 @@ class GuardPolicy:
             raise ValueError(
                 "regression_tolerance must be >= 0, "
                 f"got {self.regression_tolerance}"
-            )
-        if self.snapshot_ring_size <= 0:
-            raise ValueError(
-                f"snapshot_ring_size must be positive, got {self.snapshot_ring_size}"
             )
         if self.max_update_ratio <= 0:
             raise ValueError(
@@ -351,6 +344,10 @@ class SnapshotRing:
             self._ring.pop(0)
         return snapshot
 
+    def clear(self) -> None:
+        """Drop every snapshot."""
+        self._ring.clear()
+
     def latest(self) -> Snapshot:
         """The most recent snapshot (raises :class:`LookupError` if empty)."""
         if not self._ring:
@@ -466,7 +463,9 @@ class ModelGuard:
     Holds the per-expert snapshot rings, the golden holdout slice, the
     quarantine state machine and the drift detector's history.  The whole
     object is plain picklable state, so it rides inside deployment
-    checkpoints and a resumed run keeps its guard memory.
+    checkpoints and a resumed run keeps its guard memory.  The rings hold
+    one snapshot per expert and only during :meth:`guarded_retrain`, so
+    between cycles (when checkpoints are taken) they are empty.
 
     Construct via :meth:`build` (reserves the holdout from the golden
     training pool) or directly with a pre-built holdout dataset.
@@ -493,9 +492,7 @@ class ModelGuard:
         self.policy = policy
         self.holdout = holdout
         self.n_experts = n_experts
-        self._rings = [
-            SnapshotRing(policy.snapshot_ring_size) for _ in range(n_experts)
-        ]
+        self._rings = [SnapshotRing(1) for _ in range(n_experts)]
         self._quarantined = np.zeros(n_experts, dtype=bool)
         self._accuracy_ewma = np.full(n_experts, np.nan)
         self._recovery_streak = np.zeros(n_experts, dtype=np.int64)
@@ -539,10 +536,7 @@ class ModelGuard:
         if n_experts <= 0:
             raise ValueError(f"n_experts must be positive, got {n_experts}")
         self.n_experts = n_experts
-        self._rings = [
-            SnapshotRing(self.policy.snapshot_ring_size)
-            for _ in range(n_experts)
-        ]
+        self._rings = [SnapshotRing(1) for _ in range(n_experts)]
         self._quarantined = np.zeros(n_experts, dtype=bool)
         self._accuracy_ewma = np.full(n_experts, np.nan)
         self._recovery_streak = np.zeros(n_experts, dtype=np.int64)
@@ -707,9 +701,11 @@ class ModelGuard:
         Each expert is pickled into its ring (with a SHA-256 digest) and
         scored on the holdout before the retrain; afterwards any candidate
         whose holdout accuracy regressed beyond the policy tolerance is
-        replaced, bit-for-bit, by its verified snapshot.  The divergence
-        sentinel is installed as the process default for the duration so
-        trainers constructed deep inside the experts see it.
+        replaced, bit-for-bit, by its verified snapshot.  The rings are
+        emptied before returning (or raising): a snapshot lives only for
+        the retrain it protects.  The divergence sentinel is installed as
+        the process default for the duration so trainers constructed deep
+        inside the experts see it.
         """
         if len(committee.experts) != self.n_experts:
             raise ValueError(
@@ -718,40 +714,48 @@ class ModelGuard:
             )
         gate = self.policy.regression_gate
         incumbent_accuracy: list[float] = []
-        if gate:
-            for m, expert in enumerate(committee.experts):
-                self._rings[m].push(expert, tag=f"{expert.name}[{m}]")
-                incumbent_accuracy.append(self.holdout_accuracy(expert))
-                counters.snapshots += 1
-        sentinel = self._sentinel if self.policy.sentinel else None
-        before = (
-            sentinel.counter_state() if sentinel is not None else (0, 0, 0)
-        )
-        with use_divergence_sentinel(sentinel):
-            mic.retrain_experts(
-                committee, query_images, truthful_labels, replay_pool, rng
+        try:
+            if gate:
+                for m, expert in enumerate(committee.experts):
+                    self._rings[m].push(expert, tag=f"{expert.name}[{m}]")
+                    incumbent_accuracy.append(self.holdout_accuracy(expert))
+                    counters.snapshots += 1
+            sentinel = self._sentinel if self.policy.sentinel else None
+            before = (
+                sentinel.counter_state() if sentinel is not None else (0, 0, 0)
             )
-        if sentinel is not None:
-            aborts, retries, failures = sentinel.counter_state()
-            counters.sentinel_aborts += aborts - before[0]
-            counters.sentinel_retries += retries - before[1]
-            counters.sentinel_failures += failures - before[2]
-        if not gate:
-            return
-        cache = getattr(self, "cache", None)
-        for m in range(self.n_experts):
-            candidate = self.holdout_accuracy(committee.experts[m])
-            if candidate < incumbent_accuracy[m] - self.policy.regression_tolerance:
-                restored = self._rings[m].restore_latest()
-                committee.experts[m] = restored
-                counters.rollbacks += 1
-                if cache is not None:
-                    # The restored expert carries the snapshot's (older)
-                    # version, so the incumbent's cached votes stay valid;
-                    # the discarded candidate's entries must go, and the
-                    # unpickled expert needs the shared store re-attached
-                    # (pickling intentionally drops cache contents).
-                    restored.attach_cache(cache)
-                    cache.invalidate_expert(
-                        restored.name, keep_version=restored.model_version
-                    )
+            with use_divergence_sentinel(sentinel):
+                mic.retrain_experts(
+                    committee, query_images, truthful_labels, replay_pool, rng
+                )
+            if sentinel is not None:
+                aborts, retries, failures = sentinel.counter_state()
+                counters.sentinel_aborts += aborts - before[0]
+                counters.sentinel_retries += retries - before[1]
+                counters.sentinel_failures += failures - before[2]
+            if not gate:
+                return
+            cache = getattr(self, "cache", None)
+            tolerance = self.policy.regression_tolerance
+            for m in range(self.n_experts):
+                candidate = self.holdout_accuracy(committee.experts[m])
+                if candidate < incumbent_accuracy[m] - tolerance:
+                    restored = self._rings[m].restore_latest()
+                    committee.experts[m] = restored
+                    counters.rollbacks += 1
+                    if cache is not None:
+                        # The restored expert carries the snapshot's (older)
+                        # version, so the incumbent's cached votes stay valid;
+                        # the discarded candidate's entries must go, and the
+                        # unpickled expert needs the shared store re-attached
+                        # (pickling intentionally drops cache contents).
+                        restored.attach_cache(cache)
+                        cache.invalidate_expert(
+                            restored.name, keep_version=restored.model_version
+                        )
+        finally:
+            # A snapshot protects only the retrain that took it; once the
+            # rollback decision is made it is dead weight in every
+            # checkpoint, so it does not outlive this call.
+            for ring in self._rings:
+                ring.clear()

@@ -16,6 +16,13 @@ Checkpoints use :mod:`pickle` — they capture live numpy generator state,
 which JSON cannot represent faithfully — and are therefore a same-version
 crash-recovery format, not an archival one; use the JSON helpers for
 archival.
+
+A checkpoint carries only live state.  It deliberately omits what is
+rebuilt before it is next read: every ``nn`` layer's backward caches and
+scratch buffers (see :meth:`repro.nn.layers.Layer.__getstate__`), the
+guard's rollback snapshots (emptied once each retrain's rollback decision
+is made) and prediction-cache entries.  A paper-scale checkpoint is about
+29 MB; carrying those would make it about 73 MB.
 """
 
 from __future__ import annotations
@@ -273,7 +280,9 @@ def save_checkpoint(
     }
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
+        # Streamed: the pickler writes the large ``state`` bytes straight
+        # to the file instead of building a second in-memory copy first.
+        pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -39,7 +39,31 @@ __all__ = [
 
 
 class Layer:
-    """Base class for all layers; parameter-free layers inherit the no-ops."""
+    """Base class for all layers; parameter-free layers inherit the no-ops.
+
+    Pickling (and therefore ``copy.deepcopy``) carries only live state:
+    parameters, gradient buffers, running statistics and RNGs.  What a
+    training forward saved for the next backward — the
+    :data:`BACKWARD_CACHES` attributes — and any reusable ``_scratch``
+    buffers are dropped, so guard snapshots, committee copies and
+    checkpoints do not drag the last minibatch's im2col patches and masks
+    around.  The next training forward repopulates them.
+    """
+
+    #: Attributes a training forward sets for the following backward.
+    BACKWARD_CACHES = (
+        "_input", "_cols", "_x_shape", "_mask", "_shape", "_output",
+        "_cache", "_routing", "_act_shape",
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for key in self.BACKWARD_CACHES:
+            if key in state:
+                state[key] = None
+        if "_scratch" in state:
+            state["_scratch"] = {}
+        return state
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -556,9 +580,8 @@ class _FusedConvBase(Layer):
     arithmetic op matches the layer-by-layer chain operand for operand, so
     the fused path is bit-identical to running the separate layers.
 
-    Scratch and caches are transient: they are dropped on pickling, so
-    guard snapshots and checkpoints of fused models stay lean and restore
-    cleanly.
+    Scratch and caches are transient: like every layer's backward caches,
+    they are dropped on pickling (see :meth:`Layer.__getstate__`).
     """
 
     def __init__(self, conv: Conv2D) -> None:
@@ -568,8 +591,8 @@ class _FusedConvBase(Layer):
             )
         self.conv = conv
         # The wrapped layer's backward cache is stale the moment it is
-        # fused over — drop it so snapshots/checkpoints of fused models do
-        # not carry the last pre-fusion minibatch around forever.
+        # fused over — drop it so a fused model does not keep the last
+        # pre-fusion minibatch in memory while it is never read again.
         conv._cols = None
         conv._x_shape = None
         self._scratch: dict[str, np.ndarray] = {}
@@ -581,14 +604,6 @@ class _FusedConvBase(Layer):
 
     def grads(self) -> list[np.ndarray]:
         return self.conv.grads()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_scratch"] = {}
-        for key in ("_cols", "_x_shape", "_mask", "_routing", "_act_shape"):
-            if key in state:
-                state[key] = None
-        return state
 
     def _buf(
         self, name: str, shape: tuple[int, ...], dtype, zeroed: bool = False

@@ -124,7 +124,6 @@ class TestGuardPolicy:
         [
             {"holdout_size": 0},
             {"regression_tolerance": -0.1},
-            {"snapshot_ring_size": 0},
             {"max_update_ratio": 0.0},
             {"lr_backoff_factor": 1.0},
             {"lr_backoff_factor": 0.0},

@@ -1,12 +1,14 @@
 """System-level tests for the learning-loop guardrails.
 
-Covers the three deployment-shaped guarantees from the guards work:
+Covers the deployment-shaped guarantees from the guards work:
 
 - a *lenient but enabled* policy (thresholds no real run can cross) is
   byte-identical to a guards-disabled run, so the guarded code path itself
   is side-effect-free;
 - a checkpointed deployment with hardened guards under adversarial label
   faults resumes bit-for-bit, guard memory included;
+- a checkpoint of a guarded deployment carries no backward caches and no
+  spent rollback snapshots;
 - the paired guard-chaos experiment shows guards-on holding up at least as
   well as guards-off with interventions actually on record.
 """
@@ -14,12 +16,13 @@ Covers the three deployment-shaped guarantees from the guards work:
 import numpy as np
 import pytest
 
-from repro.core.guards import GuardPolicy
+from repro.core.guards import GuardPolicy, ModelGuard, SnapshotRing
 from repro.core.system import CrowdLearnSystem, RunOutcome
 from repro.crowd.faults import FaultInjector
 from repro.eval.experiments import adversarial_label_plan, run_guard_chaos
-from repro.eval.persistence import save_checkpoint
+from repro.eval.persistence import load_checkpoint, save_checkpoint
 from repro.eval.runner import build_crowdlearn, prepare
+from repro.nn.layers import Layer
 
 
 def lenient_policy() -> GuardPolicy:
@@ -103,7 +106,7 @@ class TestGuardedCheckpointResume:
         """Crash mid-run with live guard state, resume -> identical outcome.
 
         The hostile plan makes the hardened guards actually intervene, so
-        the checkpoint must round-trip snapshot rings, accuracy EWMAs and
+        the checkpoint must round-trip quarantine state, accuracy EWMAs and
         the drift history, not just the committee and RNGs.
         """
         uninterrupted = self.build(setup).run(
@@ -122,6 +125,56 @@ class TestGuardedCheckpointResume:
 
         resumed = CrowdLearnSystem.resume_from_checkpoint(path)
         assert_runs_equal(resumed, uninterrupted)
+
+
+def reachable_objects(root):
+    """Every container and ``repro`` object reachable from ``root``."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            yield obj
+            stack.extend(getattr(obj, "__dict__", {}).values())
+
+
+class TestCheckpointHoldsOnlyLiveState:
+    def test_no_backward_caches_or_spent_snapshots(self, setup, tmp_path):
+        """A checkpoint carries neither minibatch caches nor old snapshots.
+
+        Both are rebuilt before they are next read: a training forward
+        repopulates the caches, and a retrain snapshots before it trains.
+        """
+        system = build_crowdlearn(
+            setup, platform_name="live-state", guards=GuardPolicy()
+        )
+        stream = setup.make_stream("live-state")
+        outcome = RunOutcome()
+        for t in range(3):
+            outcome.append(system.run_cycle(stream.cycle(t)))
+        path = save_checkpoint(tmp_path / "live.ckpt", system, stream, outcome, 3)
+
+        restored, _, outcome, next_cycle = load_checkpoint(path)
+        assert next_cycle == 3
+        assert [c.guards.snapshots for c in outcome.cycles] == [3, 3, 3]
+        objects = list(reachable_objects(restored))
+        layers = [obj for obj in objects if isinstance(obj, Layer)]
+        guards = [obj for obj in objects if isinstance(obj, ModelGuard)]
+        rings = [obj for obj in objects if isinstance(obj, SnapshotRing)]
+        assert layers and guards and len(rings) == 3
+        for layer in layers:
+            for key in Layer.BACKWARD_CACHES:
+                assert getattr(layer, key, None) is None, (layer, key)
+            assert getattr(layer, "_scratch", {}) == {}
+        assert all(len(ring) == 0 for ring in rings)
 
 
 class TestGuardChaos:

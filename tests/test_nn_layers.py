@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
+    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
@@ -16,9 +17,13 @@ from repro.nn.layers import (
     Flatten,
     FusedConvReLU,
     FusedConvReLUPool,
+    GlobalAveragePool,
+    Layer,
     MaxPool2D,
     ReLU,
+    Sigmoid,
     Softmax,
+    Tanh,
     col2im,
     fuse_layers,
     im2col,
@@ -360,8 +365,8 @@ class TestFusedKernelParity:
     def test_fuse_clears_stale_backward_caches(self):
         """Fusing after a training step must drop the wrapped layers' caches.
 
-        Without this, snapshots of freshly-fused models would carry the
-        last pre-fusion minibatch (im2col patches, pool masks) forever.
+        Without this, a freshly-fused model would hold the last
+        pre-fusion minibatch (im2col patches, pool masks) in memory forever.
         """
         naive, _ = self._stacks()
         x = np.random.default_rng(6).normal(size=(4, 3, 12, 12))
@@ -371,3 +376,135 @@ class TestFusedKernelParity:
         assert block.conv._cols is None and block.conv._x_shape is None
         assert block.relu._mask is None
         assert block.pool._mask is None and block.pool._x_shape is None
+
+
+class TestPicklingContract:
+    """A pickled or deep-copied layer carries only live state.
+
+    Backward caches are dropped (they belong to the minibatch that produced
+    them); parameters, gradient buffers, running statistics and RNGs are
+    kept, so training resumes from the copy exactly as from the original.
+    """
+
+    @staticmethod
+    def _cases():
+        """(layer, training input) for every concrete Layer subclass."""
+        rng = np.random.default_rng(20)
+        image = rng.normal(size=(4, 3, 8, 8))
+        flat = rng.normal(size=(4, 6))
+        return {
+            Dense: (Dense(6, 5, rng), flat),
+            Conv2D: (Conv2D(3, 4, kernel=3, rng=rng, pad=1), image),
+            MaxPool2D: (MaxPool2D(2), image),
+            AvgPool2D: (AvgPool2D(2), image),
+            GlobalAveragePool: (GlobalAveragePool(), image),
+            ReLU: (ReLU(), flat),
+            Sigmoid: (Sigmoid(), flat),
+            Tanh: (Tanh(), flat),
+            Flatten: (Flatten(), image),
+            Dropout: (Dropout(0.5, np.random.default_rng(21)), flat),
+            BatchNorm: (BatchNorm(3), image),
+            Softmax: (Softmax(), flat),
+            FusedConvReLU: (
+                FusedConvReLU(Conv2D(3, 4, kernel=3, rng=rng, pad=1)), image
+            ),
+            FusedConvReLUPool: (
+                FusedConvReLUPool(Conv2D(3, 4, kernel=3, rng=rng, pad=1)),
+                image,
+            ),
+        }
+
+    @staticmethod
+    def _concrete_layer_classes():
+        found, pending = set(), list(Layer.__subclasses__())
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if not cls.__name__.startswith("_"):
+                found.add(cls)
+        return found
+
+    def test_every_layer_class_is_covered(self):
+        assert set(self._cases()) == self._concrete_layer_classes()
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copy_drops_caches_and_keeps_live_state(self, how):
+        import copy
+        import pickle
+
+        for cls, (layer, x) in self._cases().items():
+            out = layer.forward(x, training=True)
+            layer.backward(np.ones_like(out))  # non-zero gradient buffers
+            if how == "pickle":
+                clone = pickle.loads(pickle.dumps(layer))
+            else:
+                clone = copy.deepcopy(layer)
+            for sub, sub_clone in ((layer, clone), *self._wrapped(layer, clone)):
+                for key in Layer.BACKWARD_CACHES:
+                    if key in vars(sub):
+                        assert getattr(sub_clone, key) is None, (cls, key)
+                assert getattr(sub_clone, "_scratch", {}) == {}, cls
+            assert len(clone.params()) == len(layer.params())
+            for a, b in zip(layer.params() + layer.grads(),
+                            clone.params() + clone.grads()):
+                assert np.array_equal(a, b), cls
+            if isinstance(layer, BatchNorm):
+                for key in ("running_mean", "running_var"):
+                    assert np.array_equal(getattr(layer, key),
+                                          getattr(clone, key))
+            if isinstance(layer, Dropout):
+                assert clone._rng is not layer._rng
+                assert (clone._rng.bit_generator.state
+                        == layer._rng.bit_generator.state)
+            layer.backward(np.ones_like(out))  # the original keeps its caches
+
+    @staticmethod
+    def _wrapped(layer, clone):
+        """(original, copy) pairs of the layers a fused block wraps."""
+        return [
+            (getattr(layer, name), getattr(clone, name))
+            for name in ("conv", "relu", "pool")
+            if hasattr(layer, name)
+        ]
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_training_resumes_identically_from_a_copy(self, how):
+        import copy
+        import pickle
+
+        from repro.nn.losses import SoftmaxCrossEntropy
+        from repro.nn.model import Sequential
+        from repro.nn.optim import Adam
+        from repro.nn.trainer import Trainer
+
+        rng = np.random.default_rng(30)
+        model = Sequential([
+            Conv2D(3, 4, kernel=3, rng=rng, pad=1), ReLU(), MaxPool2D(2),
+            Conv2D(4, 4, kernel=3, rng=rng, pad=1), BatchNorm(4), Tanh(),
+            AvgPool2D(2), Conv2D(4, 4, kernel=1, rng=rng), Sigmoid(),
+            Flatten(), Dropout(0.3, np.random.default_rng(31)),
+            Dense(16, 3, rng),
+        ]).fuse()
+        optimizer = Adam(model.params(), model.grads(), lr=0.01)
+        x = rng.normal(size=(12, 3, 8, 8))
+        y = rng.integers(0, 3, size=12)
+        fit_rng = np.random.default_rng(32)
+        Trainer(model, SoftmaxCrossEntropy(), optimizer, fit_rng,
+                batch_size=5).fit(x, y, epochs=1)  # warm optimizer + caches
+
+        bundle = (model, optimizer, fit_rng)
+        if how == "pickle":
+            clone, clone_opt, clone_rng = pickle.loads(pickle.dumps(bundle))
+        else:
+            clone, clone_opt, clone_rng = copy.deepcopy(bundle)
+        assert clone_opt._t == optimizer._t > 0  # moments survive the copy
+        for a, b in zip(optimizer._m + optimizer._v, clone_opt._m + clone_opt._v):
+            assert np.array_equal(a, b)
+
+        Trainer(model, SoftmaxCrossEntropy(), optimizer, fit_rng,
+                batch_size=5).fit(x, y, epochs=2)
+        Trainer(clone, SoftmaxCrossEntropy(), clone_opt, clone_rng,
+                batch_size=5).fit(x, y, epochs=2)
+        for a, b in zip(model.params() + model.grads(),
+                        clone.params() + clone.grads()):
+            assert np.array_equal(a, b)
