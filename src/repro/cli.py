@@ -152,7 +152,12 @@ def _cmd_run_durable(args) -> int:
         FaultPlan,
         InjectedCrash,
     )
-    from repro.eval.journal import CycleJournal, heartbeat_writer, resume_run
+    from repro.eval.journal import (
+        CycleJournal,
+        JournalError,
+        heartbeat_writer,
+        resume_run,
+    )
     from repro.eval.persistence import (
         CheckpointIntegrityError,
         run_outcome_digest,
@@ -248,6 +253,9 @@ def _cmd_run_durable(args) -> int:
             f"corrupt checkpoint ({exc.check} check failed): {exc}",
             file=sys.stderr,
         )
+        return 3
+    except JournalError as exc:
+        print(f"corrupt journal: {exc}", file=sys.stderr)
         return 3
     except InjectedCrash as exc:
         print(f"injected crash: {exc}", file=sys.stderr)
@@ -890,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--resume", action="store_true",
                 help="resume from --checkpoint, replaying --journal "
-                     "past it (exit 3 on a corrupt checkpoint)",
+                     "past it (exit 3 on a corrupt checkpoint or journal)",
             )
         if name == "supervise":
             sub.add_argument(

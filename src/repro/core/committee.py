@@ -35,8 +35,8 @@ class Committee:
     """
 
     #: Shared prediction/feature cache; ``None`` computes votes directly.
-    #: A class-level default so committees unpickled from pre-cache
-    #: checkpoints keep working (uncached).
+    #: A class-level default: committees built without a cache (and never
+    #: given one by :meth:`attach_cache`) vote uncached.
     cache: "PredictionCache | None" = None
 
     def __init__(

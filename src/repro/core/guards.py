@@ -473,8 +473,7 @@ class ModelGuard:
 
     #: Shared prediction cache; set by the system so holdout scoring
     #: reuses (and primes) the same per-version votes as the committee.
-    #: Class-level default so guards unpickled from pre-cache checkpoints
-    #: keep working (uncached).
+    #: Class-level default: guards built without a cache score uncached.
     cache: "PredictionCache | None" = None
 
     def __init__(
@@ -675,7 +674,7 @@ class ModelGuard:
         scoring, candidate scoring) and all but the candidate call see the
         incumbent's parameters.
         """
-        cache = getattr(self, "cache", None)
+        cache = self.cache
         if cache is not None:
             predicted = np.argmax(cache.predict_proba(expert, self.holdout), axis=1)
         else:
@@ -735,7 +734,7 @@ class ModelGuard:
                 counters.sentinel_failures += failures - before[2]
             if not gate:
                 return
-            cache = getattr(self, "cache", None)
+            cache = self.cache
             tolerance = self.policy.regression_tolerance
             for m in range(self.n_experts):
                 candidate = self.holdout_accuracy(committee.experts[m])

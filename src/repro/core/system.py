@@ -232,6 +232,10 @@ class CrowdLearnSystem:
         #: :meth:`run`/``repro.eval.journal.resume_run`` for the duration
         #: of the run and never pickled into checkpoints.
         self.journal = None
+        #: Handle on the image store of the last checkpoint this system
+        #: wrote or was loaded from (see :mod:`repro.eval.persistence`);
+        #: never pickled into checkpoints.
+        self.image_store = None
         #: Identity of the disaster event this system serves, set by the
         #: serving layer (``repro.serve``); ``None`` for standalone runs.
         #: Scopes the prediction-cache namespace and telemetry labels.
@@ -261,9 +265,11 @@ class CrowdLearnSystem:
 
     def __getstate__(self) -> dict:
         # The journal holds an open file handle and belongs to exactly one
-        # process's run; a checkpoint must never capture it.
+        # process's run, and the image-store handle describes files beside
+        # one checkpoint; a checkpoint must never capture either.
         state = self.__dict__.copy()
         state["journal"] = None
+        state["image_store"] = None
         return state
 
     @classmethod
@@ -422,7 +428,7 @@ class CrowdLearnSystem:
         platform would accept the retry, the sensing cycle is over.
         """
         policy = self.resilience
-        scheduler = getattr(self, "scheduler", None)
+        scheduler = self.scheduler
         attempts = policy.max_retries + 1 if policy.enabled else 1
         paid = incentive
         for attempt in range(attempts):
@@ -706,14 +712,12 @@ class CrowdLearnSystem:
         policy = self.resilience
         guard = self.guards
         counters = ResilienceCounters()
-        # getattr: systems unpickled from pre-scheduler checkpoints have no
-        # scheduler attribute; they keep running synchronously.
-        scheduler = getattr(self, "scheduler", None)
-        # Write-ahead journal (pre-journal checkpoints lack the attribute).
-        # Each append below marks a stage boundary; during crash recovery
-        # the same appends are verified against the journaled history, and
-        # journaled posts are served from the log instead of re-posted.
-        jrn = getattr(self, "journal", None)
+        scheduler = self.scheduler
+        # Write-ahead journal.  Each append below marks a stage boundary;
+        # during crash recovery the same appends are verified against the
+        # journaled history, and journaled posts are served from the log
+        # instead of re-posted.
+        jrn = self.journal
         if jrn is not None:
             jrn.append(cycle.index, "cycle_start",
                        {"context": cycle.context.value})
@@ -747,15 +751,13 @@ class CrowdLearnSystem:
             guard.rebind(self.committee.n_experts)
         gcounters = GuardCounters()
         mask = guard.active_mask() if guard is not None else None
-        # getattr: systems unpickled from pre-cache checkpoints lack the
-        # attribute; they simply keep running uncached.
-        cache = getattr(self, "cache", None)
+        cache = self.cache
         if cache is not None:
             if self.committee.cache is not cache:
                 # A new committee was swapped in (or experts replaced
                 # wholesale): route its votes through the shared cache too.
                 self.committee.attach_cache(cache)
-            if guard is not None and getattr(guard, "cache", None) is not cache:
+            if guard is not None and guard.cache is not cache:
                 guard.cache = cache
         cache_stats_before = cache.stats() if cache is not None else None
 
@@ -765,9 +767,7 @@ class CrowdLearnSystem:
             votes = self.committee.expert_votes(dataset)
             entropy = self.committee.committee_entropy(dataset, votes, mask=mask)
         with tel.span("cycle.qss"):
-            # getattr: systems unpickled from pre-serve checkpoints lack
-            # the attribute; they keep the config's nominal cycle size.
-            cap = getattr(self, "cycle_query_cap", None)
+            cap = self.cycle_query_cap
             desired = self.config.queries_per_cycle if cap is None else cap
             query_size = min(desired, len(dataset))
             query_indices = self.qss.select(entropy, query_size, self.rng)

@@ -38,9 +38,12 @@ raises :class:`JournalReplayError` instead of silently forking history.
 
 Records carry a per-record SHA-256 over their canonical JSON body, so a
 torn tail (the line being written when the process died) is detected and
-dropped, never parsed into garbage.  The file is rotated atomically
-(fresh temp file + ``os.replace``) right after each checkpoint, keeping
-it small and keeping its base cycle in lockstep with the snapshot.
+dropped, never parsed into garbage.  A torn write can only ever affect
+the last line, so a bad line anywhere before it is corruption, not a
+crash: reading raises :class:`JournalError` rather than dropping durable
+(already-paid) records.  The file is rotated atomically (fresh temp file
++ ``os.replace``) right after each checkpoint, keeping it small and
+keeping its base cycle in lockstep with the snapshot.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ class JournalReadResult:
     """What :func:`read_journal` recovered from a journal file."""
 
     records: list[dict] = field(default_factory=list)
-    #: Lines dropped at the tail (torn write or trailing corruption).
+    #: Lines dropped at the tail: 1 when the last line is torn, else 0.
     torn_lines: int = 0
     #: Byte offset of the end of the last intact record.
     good_bytes: int = 0
@@ -174,37 +177,43 @@ class JournalReadResult:
 
 
 def read_journal(path: str | Path) -> JournalReadResult:
-    """Read a journal, tolerating a torn tail.
+    """Read a journal, tolerating a torn tail and nothing else.
 
-    Each line's SHA-256 is recomputed over its canonical body; the first
-    unparseable or checksum-failing line ends the readable prefix — a
-    crash mid-``write`` leaves exactly that shape — and everything from
-    it onward is counted in ``torn_lines`` and ignored.
+    Each line's SHA-256 is recomputed over its canonical body.  An
+    unparseable or checksum-failing *last* non-empty line is the shape a
+    crash mid-``write`` leaves: it is counted in ``torn_lines`` and
+    ignored.  The same failure on any earlier line raises
+    :class:`JournalError` naming the line.
     """
     raw = Path(path).read_bytes()
     result = JournalReadResult()
+    lines = raw.split(b"\n")
+    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
     offset = 0
-    for line in raw.split(b"\n"):
+    for number, line in enumerate(lines):
         advance = len(line) + 1
         if not line.strip():
             offset += advance
             continue
         try:
             record = json.loads(line)
-            recorded = record["sha256"]
             computed = _record_checksum(
                 record["seq"], record["cycle"], record["stage"],
                 record["payload"],
             )
-        except (ValueError, KeyError, TypeError):
-            break
-        if computed != recorded:
-            break
+            if computed != record["sha256"]:
+                raise ValueError("checksum mismatch")
+        except (ValueError, KeyError, TypeError) as exc:
+            if number == last:
+                result.torn_lines = 1
+                break
+            raise JournalError(
+                f"corrupt journal record at line {number + 1} of {path} "
+                f"({exc}); only the last line may be torn"
+            ) from exc
         result.records.append(record)
         offset += advance
         result.good_bytes = min(offset, len(raw))
-    tail = raw[result.good_bytes:]
-    result.torn_lines = sum(1 for t in tail.split(b"\n") if t.strip())
     return result
 
 
@@ -216,12 +225,16 @@ def wal_tail_summary(journal_path: str | Path) -> dict:
     the interrupted cycle got — most importantly whether a crowd post is
     in doubt (a ``post_intent`` journaled without its ``post``).  The
     service embeds this summary in the quarantine record so operators can
-    assess a parked event without opening its WAL by hand.
+    assess a parked event without opening its WAL by hand.  A journal
+    corrupted before its last line is reported under ``"corrupt"``.
     """
     path = Path(journal_path)
     if not path.exists():
         return {"exists": False}
-    read = read_journal(path)
+    try:
+        read = read_journal(path)
+    except JournalError as exc:
+        return {"exists": True, "corrupt": str(exc)}
     live = [r for r in read.records if r["stage"] != "rotate"]
     last = live[-1] if live else None
     return {
@@ -330,7 +343,9 @@ class CycleJournal:
         Returns ``(journal, info)``.  When the journal's base cycle
         matches the checkpoint, its records are queued for replay
         verification; the torn tail (if any) is truncated so live appends
-        continue a clean file.  When base and checkpoint disagree — a
+        continue a clean file.  A corrupt line before the tail raises
+        :class:`JournalError` and leaves the file untouched.  When base
+        and checkpoint disagree — a
         crash during rotation left the journal stale, or the checkpoint
         was rolled back under a newer journal — the mismatched file is
         **quarantined** (renamed ``<path>.stale``) with a warning and a

@@ -21,13 +21,23 @@ A checkpoint carries only live state.  It deliberately omits what is
 rebuilt before it is next read: every ``nn`` layer's backward caches and
 scratch buffers (see :meth:`repro.nn.layers.Layer.__getstate__`), the
 guard's rollback snapshots (emptied once each retrain's rollback decision
-is made) and prediction-cache entries.  A paper-scale checkpoint is about
-29 MB; carrying those would make it about 73 MB.
+is made) and prediction-cache entries.
+
+Images are checkpointed by reference.  Every
+:class:`~repro.data.dataset.DisasterImage` the state reaches (the stream,
+the golden replay pool, the MIC replay buffer) is frozen for the whole
+deployment, so it is written once to an *image store* next to the
+checkpoint (``<checkpoint>.images-<sha256 prefix>``) and each checkpoint's
+pickle holds only keys into it.  A checkpoint is therefore two files that
+must be copied together.  At paper scale the checkpoint file is about
+5.7 MB and the store about 24 MB, written once per deployment; inlining
+the images would make every checkpoint about 29 MB.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -38,6 +48,7 @@ import numpy as np
 
 from repro.core.guards import GuardCounters
 from repro.core.resilience import ResilienceCounters
+from repro.data.dataset import DisasterImage
 from repro.eval.baselines import SchemeResult
 from repro.utils.clock import TemporalContext
 
@@ -59,7 +70,9 @@ _FORMAT_VERSION = 1
 # load time instead of resuming a silently corrupted deployment.
 # Version 3 adds the state's byte length, so truncation is distinguishable
 # from bit corruption (length vs sha256) in the load error.
-_CHECKPOINT_VERSION = 3
+# Version 4 moves every DisasterImage out of the state into a separate
+# image store the envelope names (with its length and SHA-256).
+_CHECKPOINT_VERSION = 4
 
 
 class CheckpointIntegrityError(ValueError):
@@ -68,7 +81,8 @@ class CheckpointIntegrityError(ValueError):
     ``check`` names the first integrity check that failed: ``"format"``
     (unreadable pickle / not a snapshot envelope), ``"version"`` (written
     by an incompatible code version), ``"length"`` (state truncated or
-    padded), or ``"sha256"`` (state bytes corrupted in place).  Subclasses
+    padded), ``"sha256"`` (state bytes corrupted in place), or
+    ``"images"`` (the image store is missing, truncated or corrupted).  Subclasses
     :class:`ValueError` so existing ``except ValueError`` callers and
     tests keep working; ``repro run --resume`` maps it to a distinct
     nonzero exit code.
@@ -225,6 +239,119 @@ def run_outcome_digest(outcome: "RunOutcome") -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+class _ImageStore:
+    """In-memory handle on the image store a checkpoint refers to.
+
+    ``images`` are the stored images in key order and ``keys`` maps each
+    one's ``id`` to its key.  Identity is a sound key: the handle holds a
+    reference to every image, and images are frozen.
+    """
+
+    def __init__(self, path: Path, sha256: str, length: int,
+                 images: list[DisasterImage]) -> None:
+        self.path = path
+        self.sha256 = sha256
+        self.length = length
+        self.images = images
+        self.keys = {id(image): key for key, image in enumerate(images)}
+        #: Whether stores of older checkpoints at the same path are gone.
+        self.swept = False
+
+
+class _UnstoredImage(Exception):
+    """The state reaches an image the current store does not hold."""
+
+
+class _StatePickler(pickle.Pickler):
+    """Pickles every :class:`DisasterImage` as its key into an image store.
+
+    With ``images`` given, an image without a key is appended to it and
+    keyed; without, such an image raises :class:`_UnstoredImage`.
+    """
+
+    def __init__(self, file, keys: dict[int, int],
+                 images: list[DisasterImage] | None = None) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.keys = keys
+        self.images = images
+
+    def persistent_id(self, obj):
+        if type(obj) is not DisasterImage:
+            return None
+        key = self.keys.get(id(obj))
+        if key is None:
+            if self.images is None:
+                raise _UnstoredImage
+            key = self.keys[id(obj)] = len(self.images)
+            self.images.append(obj)
+        return key
+
+
+class _StateUnpickler(pickle.Unpickler):
+    """Resolves the image keys :class:`_StatePickler` wrote."""
+
+    def __init__(self, file, images: list[DisasterImage]) -> None:
+        super().__init__(file)
+        self.images = images
+
+    def persistent_load(self, key):
+        return self.images[key]
+
+
+def _dump_state(payload: dict, keys: dict[int, int],
+                images: list[DisasterImage] | None = None) -> bytes:
+    buffer = io.BytesIO()
+    _StatePickler(buffer, keys, images).dump(payload)
+    return buffer.getvalue()
+
+
+def _store_path(path: Path, sha256: str) -> Path:
+    return path.with_name(f"{path.name}.images-{sha256[:16]}")
+
+
+def _fsync_dir(directory: Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _write_atomic(path: Path, write) -> None:
+    """``write(handle)`` to a temp file, fsync it, rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        write(handle)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+def _write_image_store(path: Path, images: list[DisasterImage]) -> _ImageStore:
+    blob = pickle.dumps(images, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(blob).hexdigest()
+    store_path = _store_path(path, digest)
+    _write_atomic(store_path, lambda handle: handle.write(blob))
+    # The store's rename must be durable before a checkpoint names it.
+    _fsync_dir(path.parent)
+    return _ImageStore(store_path, digest, len(blob), images)
+
+
+def _sweep_image_stores(path: Path, keep: _ImageStore) -> None:
+    """Delete every other store beside ``path`` (older checkpoints' ones).
+
+    Called only once the checkpoint naming ``keep`` is in place; the
+    directory is synced first so that rename is durable before any store
+    an older checkpoint names disappears.
+    """
+    _fsync_dir(path.parent)
+    prefix = path.name + ".images-"
+    for entry in path.parent.iterdir():
+        if entry.name.startswith(prefix) and entry.name != keep.path.name:
+            entry.unlink(missing_ok=True)
+    keep.swept = True
+
+
 def save_checkpoint(
     path: str | Path,
     system: "CrowdLearnSystem",
@@ -243,6 +370,14 @@ def save_checkpoint(
     state is wrapped in an envelope carrying its SHA-256 digest, which
     :func:`load_checkpoint` verifies before unpickling anything.
 
+    Images are pickled by reference into an image store beside ``path``
+    (see the module docstring).  The store is written, atomically, only
+    when the state reaches an image the system's current store does not
+    hold — once per deployment, and not again after a resume.  Stores an
+    older checkpoint names are deleted only after the new checkpoint is
+    in place, so a crash at any instant leaves the previous checkpoint
+    loadable.
+
     A telemetry pipeline attached to the system (see
     :mod:`repro.telemetry`) is pickled along with it, so a resumed run
     keeps its spans, metrics and events; its JSON-safe
@@ -253,22 +388,43 @@ def save_checkpoint(
     if next_cycle < 0:
         raise ValueError(f"next_cycle must be >= 0, got {next_cycle}")
     path = Path(path)
-    telemetry = getattr(system, "telemetry", None)
-    scheduler = getattr(system, "scheduler", None)
-    state = pickle.dumps(
-        {
-            "next_cycle": int(next_cycle),
-            "system": system,
-            "stream": stream,
-            "outcome": outcome,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    telemetry = system.telemetry
+    scheduler = system.scheduler
+    payload = {
+        "next_cycle": int(next_cycle),
+        "system": system,
+        "stream": stream,
+        "outcome": outcome,
+    }
+    store = system.image_store
+    state = None
+    if (
+        store is not None
+        and store.path == _store_path(path, store.sha256)
+        and store.path.exists()
+    ):
+        try:
+            state = _dump_state(payload, store.keys)
+        except _UnstoredImage:
+            pass
+    if state is None:
+        # No usable store, or the state reaches an image it lacks: key
+        # every image afresh, so the new store holds exactly the images
+        # this state reaches.
+        keys: dict[int, int] = {}
+        images: list[DisasterImage] = []
+        state = _dump_state(payload, keys, images)
+        store = _write_image_store(path, images) if images else None
     envelope = {
         "checkpoint_version": _CHECKPOINT_VERSION,
         "sha256": hashlib.sha256(state).hexdigest(),
         "length": len(state),
         "state": state,
+        "images": None if store is None else {
+            "name": store.path.name,
+            "length": store.length,
+            "sha256": store.sha256,
+        },
         # Advisory inspection copy; the digest covers only the restorable
         # state, so a telemetry-only diff never invalidates a checkpoint.
         "telemetry": None if telemetry is None else telemetry.snapshot(),
@@ -278,15 +434,62 @@ def save_checkpoint(
         # flight without unpickling anything.
         "scheduler": None if scheduler is None else scheduler.snapshot(),
     }
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        # Streamed: the pickler writes the large ``state`` bytes straight
-        # to the file instead of building a second in-memory copy first.
-        pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    # Streamed: the pickler writes the large ``state`` bytes straight to
+    # the file instead of building a second in-memory copy first.
+    _write_atomic(
+        path,
+        lambda handle: pickle.dump(
+            envelope, handle, protocol=pickle.HIGHEST_PROTOCOL
+        ),
+    )
+    system.image_store = store
+    if store is not None and not store.swept:
+        _sweep_image_stores(path, store)
     return path
+
+
+def _load_image_store(path: Path, entry) -> _ImageStore | None:
+    """Read and verify the image store a checkpoint's envelope names."""
+    if entry is None:
+        return None
+    if not isinstance(entry, dict):
+        entry = {}
+    name = entry.get("name")
+    recorded = entry.get("sha256")
+    length = entry.get("length")
+    if (
+        not isinstance(name, str)
+        or Path(name).name != name
+        or not isinstance(recorded, str)
+        or not isinstance(length, int)
+    ):
+        raise CheckpointIntegrityError(
+            f"corrupt checkpoint file {path}: not a snapshot", check="format"
+        )
+    store_path = path.with_name(name)
+
+    def failed(found: str) -> CheckpointIntegrityError:
+        return CheckpointIntegrityError(
+            f"checkpoint {path} failed its integrity check (images): "
+            f"{found}.  A checkpoint and its image store {name} must be "
+            "copied together; resume from an older checkpoint or restart "
+            "the deployment.",
+            check="images",
+        )
+
+    try:
+        blob = store_path.read_bytes()
+    except FileNotFoundError:
+        raise failed("the image store is missing") from None
+    if len(blob) != length:
+        raise failed(f"recorded {length} store bytes, found {len(blob)}")
+    computed = hashlib.sha256(blob).hexdigest()
+    if computed != recorded:
+        raise failed(
+            f"store sha256 recorded {recorded[:12]}..., computed "
+            f"{computed[:12]}..."
+        )
+    return _ImageStore(store_path, recorded, length, pickle.loads(blob))
 
 
 def load_checkpoint(
@@ -294,16 +497,20 @@ def load_checkpoint(
 ) -> tuple["CrowdLearnSystem", "SensingCycleStream", "RunOutcome", int]:
     """Load ``(system, stream, outcome, next_cycle)`` from a checkpoint.
 
-    The deployment state's byte length and SHA-256 digest are verified
-    before the state is unpickled; a mismatch means the file was corrupted
-    after it was written (bad disk, interrupted copy, manual edit) and
-    raises a :class:`CheckpointIntegrityError` whose ``check`` attribute
-    names the failing check — ``format``, ``version``, ``length`` or
-    ``sha256`` — so the operator (and the ``repro run --resume`` exit
-    path) can tell truncation from bit rot from a version skew.
+    The deployment state's byte length and SHA-256 digest, and those of
+    its image store, are verified before anything is unpickled; a
+    mismatch means a file was corrupted after it was written (bad disk,
+    interrupted copy, manual edit) and raises a
+    :class:`CheckpointIntegrityError` whose ``check`` attribute names the
+    failing check — ``format``, ``version``, ``length``, ``sha256`` or
+    ``images`` — so the operator (and the ``repro run --resume`` exit
+    path) can tell truncation from bit rot from a version skew.  The
+    loaded system keeps a handle on the store, so its next checkpoint
+    refers to the same store instead of rewriting it.
     """
+    path = Path(path)
     try:
-        envelope = pickle.loads(Path(path).read_bytes())
+        envelope = pickle.loads(path.read_bytes())
     except (pickle.UnpicklingError, EOFError) as exc:
         raise CheckpointIntegrityError(
             f"corrupt checkpoint file {path}: {exc}", check="format"
@@ -347,9 +554,13 @@ def load_checkpoint(
             "checkpoint or restart the deployment from scratch.",
             check="sha256",
         )
-    payload = pickle.loads(state)
+    store = _load_image_store(path, envelope.get("images"))
+    images = [] if store is None else store.images
+    payload = _StateUnpickler(io.BytesIO(state), images).load()
+    system = payload["system"]
+    system.image_store = store
     return (
-        payload["system"],
+        system,
         payload["stream"],
         payload["outcome"],
         int(payload["next_cycle"]),

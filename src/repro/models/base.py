@@ -50,7 +50,7 @@ class DDAModel(ABC):
     name: str = "dda-model"
 
     #: Backing field of :attr:`model_version`; 0 means "not yet assigned"
-    #: (a class-level default so unpickled legacy instances behave).
+    #: (a class-level default, so every instance starts unassigned).
     _model_version: int = 0
 
     @property

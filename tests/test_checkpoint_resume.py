@@ -1,9 +1,14 @@
 """Tests for deployment checkpointing (crash-recovery round trips)."""
 
+import dataclasses
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.system import CrowdLearnSystem, RunOutcome
+from repro.data.dataset import DisasterImage
 from repro.eval.persistence import (
     cycle_outcome_from_dict,
     cycle_outcome_to_dict,
@@ -224,7 +229,123 @@ class TestIntegrityCheckNames:
         self._tamper(checkpoint, flip_one_byte)
         assert self._check_of(checkpoint) == "sha256"
 
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+    def test_images(self, checkpoint, damage):
+        import pickle
+
+        name = pickle.loads(checkpoint.read_bytes())["images"]["name"]
+        store = checkpoint.with_name(name)
+        if damage == "delete":
+            store.unlink()
+        else:
+            blob = bytearray(store.read_bytes())
+            if damage == "flip":
+                blob[len(blob) // 2] ^= 0xFF
+            else:
+                del blob[-100:]
+            store.write_bytes(bytes(blob))
+        assert self._check_of(checkpoint) == "images"
+
     def test_error_is_value_error(self):
         from repro.eval.persistence import CheckpointIntegrityError
 
         assert issubclass(CheckpointIntegrityError, ValueError)
+
+
+def _store_files(path):
+    return sorted(p.name for p in path.parent.glob(path.name + ".images-*"))
+
+
+@pytest.fixture()
+def store_writes(monkeypatch):
+    """Names of the image stores renamed into place while the test runs."""
+    written = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        if ".images-" in Path(dst).name:
+            written.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    return written
+
+
+class TestImageStore:
+    """Checkpoints refer to the deployment's frozen images by key."""
+
+    def test_three_cycle_run_writes_the_store_once(
+        self, setup, tmp_path, store_writes
+    ):
+        import pickle
+
+        path = tmp_path / "three.ckpt"
+        system = build_crowdlearn(setup)
+        stream = setup.make_stream("ckpt")
+        outcome = RunOutcome()
+        for t in range(3):
+            outcome.append(system.run_cycle(stream.cycle(t)))
+            save_checkpoint(path, system, stream, outcome, t + 1)
+        assert len(store_writes) == 1
+        envelope = pickle.loads(path.read_bytes())
+        assert _store_files(path) == [envelope["images"]["name"]]
+        assert b"DisasterImage" not in envelope["state"]
+        assert envelope["length"] < envelope["images"]["length"]
+
+    def test_resumed_run_reuses_the_store(
+        self, setup, uninterrupted, tmp_path, store_writes
+    ):
+        path = tmp_path / "reuse.ckpt"
+        system = build_crowdlearn(setup)
+        stream = setup.make_stream("ckpt")
+        outcome = RunOutcome()
+        outcome.append(system.run_cycle(stream.cycle(0)))
+        save_checkpoint(path, system, stream, outcome, 1)
+        (store,) = _store_files(path)
+        written = (path.parent / store).stat().st_mtime_ns
+        store_writes.clear()
+
+        resumed = CrowdLearnSystem.resume_from_checkpoint(path)
+        assert_outcomes_equal(resumed, uninterrupted)
+        assert store_writes == []
+        assert _store_files(path) == [store]
+        assert (path.parent / store).stat().st_mtime_ns == written
+
+    def test_crash_between_store_write_and_rename(
+        self, setup, uninterrupted, tmp_path, monkeypatch
+    ):
+        """The old store outlives a checkpoint write that dies after
+        writing its new store but before renaming the checkpoint."""
+        path = tmp_path / "crash.ckpt"
+        system = build_crowdlearn(setup)
+        stream = setup.make_stream("ckpt")
+        outcome = RunOutcome()
+        for t in range(2):
+            outcome.append(system.run_cycle(stream.cycle(t)))
+        save_checkpoint(path, system, stream, outcome, 2)
+        (old_store,) = _store_files(path)
+        # Fresh imagery reaches the state, so the next checkpoint needs a
+        # new store.
+        image = stream.cycle(0).images[0]
+        stream._images.append(DisasterImage(
+            image.pixels,
+            dataclasses.replace(image.metadata, image_id=10**6),
+        ))
+        real_replace = os.replace
+
+        def crash_at_checkpoint_rename(src, dst):
+            if Path(dst) == path:
+                raise OSError("injected crash before the checkpoint rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_at_checkpoint_rename)
+        with pytest.raises(OSError, match="injected crash"):
+            save_checkpoint(path, system, stream, outcome, 2)
+        monkeypatch.undo()
+        stores = _store_files(path)
+        assert old_store in stores and len(stores) == 2
+
+        resumed = CrowdLearnSystem.resume_from_checkpoint(path)
+        assert_outcomes_equal(resumed, uninterrupted)
+        # The resumed run's first checkpoint swept the orphaned store.
+        assert _store_files(path) == [old_store]

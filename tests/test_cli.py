@@ -194,6 +194,26 @@ class TestCommands:
         assert "corrupt checkpoint" in err
         assert "format check failed" in err
 
+    def test_run_resume_corrupt_journal_exits_3(self, tmp_path, capsys):
+        from repro.eval.journal import CycleJournal
+
+        jrn = tmp_path / "c.journal"
+        journal = CycleJournal.create(jrn)
+        journal.append(0, "cycle_start", {"context": "day"})
+        journal.append(0, "qss", {"indices": [1, 2]})
+        journal.close()
+        lines = jrn.read_text().splitlines()
+        lines[1] = lines[1].replace('"day"', '"dax"')
+        jrn.write_text("\n".join(lines) + "\n")
+        assert main([
+            "run", "--seed", "61", "--resume", "--cycles", "1",
+            "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--journal", str(jrn),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "corrupt journal" in err
+        assert "line 2" in err
+
     def test_serve_resume_requires_dir(self, capsys):
         assert main(["serve", "--resume", "--seed", "61"]) == 2
         assert "--resume requires --serve-dir" in capsys.readouterr().err

@@ -50,7 +50,9 @@ class TestReadWrite:
         # seq is dense and ordered
         assert [r["seq"] for r in read.records] == list(range(len(read.records)))
 
-    def test_checksum_failure_ends_prefix(self, tmp_path):
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        """Only the last line may be torn: a bad record before it is
+        corruption, and reading must fail rather than drop what follows."""
         path = tmp_path / "j.journal"
         write_sample(path)
         lines = path.read_text().splitlines()
@@ -58,9 +60,43 @@ class TestReadWrite:
         record["payload"] = {"indices": [99]}  # tamper without re-checksumming
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalError, match="line 3"):
+            read_journal(path)
+
+    def test_unparseable_middle_line_raises(self, tmp_path):
+        path = tmp_path / "j.journal"
+        write_sample(path)
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4][:-7]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalError, match="line 5"):
+            read_journal(path)
+
+    def test_corrupt_last_line_is_a_torn_tail(self, tmp_path):
+        """A checksum failure on the last record is what a crash
+        mid-append leaves: tolerated, counted, and never raised."""
+        path = tmp_path / "j.journal"
+        write_sample(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["payload"] = {"cost_cents": 99.0}
+        lines[-1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
         read = read_journal(path)
-        assert len(read.records) == 2
-        assert read.torn_lines == len(lines) - 2
+        assert len(read.records) == len(lines) - 1
+        assert read.torn_lines == 1
+
+    def test_resume_refuses_corrupt_middle(self, tmp_path):
+        """Resume must not truncate records behind a corrupt middle line."""
+        path = tmp_path / "j.journal"
+        write_sample(path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"qss"', '"qsz"')
+        corrupted = "\n".join(lines) + "\n"
+        path.write_text(corrupted)
+        with pytest.raises(JournalError, match="line 3"):
+            CycleJournal.resume(path, 0)
+        assert path.read_text() == corrupted
 
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / "j.journal"
@@ -279,6 +315,16 @@ class TestWalTailSummary:
         assert summary["in_doubt_posts"] == 1
         assert summary["journaled_posts"] == 0
         assert summary["torn_lines"] == 0
+
+    def test_corrupt_middle_is_reported_not_raised(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        write_sample(path)
+        lines = path.read_text().splitlines()
+        lines[1] = "not json"
+        path.write_text("\n".join(lines) + "\n")
+        summary = wal_tail_summary(path)
+        assert summary["exists"] is True
+        assert "line 2" in summary["corrupt"]
 
     def test_clean_rotated_journal_has_nothing_in_doubt(self, tmp_path):
         path = tmp_path / "wal.jsonl"
