@@ -131,8 +131,6 @@ def cmd_run(args) -> int:
         overrides["scheduler_enabled"] = True
     if getattr(args, "warm_start", False):
         overrides["mic_warm_start"] = True
-    if getattr(args, "fused", False):
-        overrides["fused_kernels"] = True
     config = dataclasses.replace(setup.config, **overrides) if overrides else None
     system = build_crowdlearn(setup, config=config)
     outcome = system.run(setup.make_stream("cli-run"))
@@ -189,8 +187,6 @@ def _cmd_run_durable(args) -> int:
             overrides["scheduler_enabled"] = True
         if getattr(args, "warm_start", False):
             overrides["mic_warm_start"] = True
-        if getattr(args, "fused", False):
-            overrides["fused_kernels"] = True
         if getattr(args, "cycles", None):
             overrides["n_cycles"] = args.cycles
         if overrides:
@@ -498,7 +494,7 @@ def cmd_bench(args) -> int:
             fit_speedup = retrain.get("fit_speedup", 0.0)
             if fit_speedup < budget:
                 print(
-                    "FAIL: warm-start + fused expert refit speedup is "
+                    "FAIL: warm-start expert refit speedup is "
                     f"{fit_speedup:.2f}x "
                     f"(budget: >= {budget:.1f}x at "
                     f"{'paper' if full_scale else 'fast'} scale; the 5x "
@@ -509,8 +505,8 @@ def cmd_bench(args) -> int:
         print(
             "bench check passed: cached vote at least as fast as uncached, "
             "the loop served predictions from the cache, journaling cost "
-            "under 5% of cycle wall time, and warm-start + fused kernels "
-            "beat the expert-refit speedup budget "
+            "under 5% of cycle wall time, and warm start beat the "
+            "expert-refit speedup budget "
             f"({retrain.get('fit_speedup', 0.0):.2f}x)",
             file=sys.stderr,
         )
@@ -849,11 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="warm-start incremental retraining: fine-tune "
                      "incumbent weights on new crowd labels + a crowd "
                      "replay sample, with periodic full refits",
-            )
-            sub.add_argument(
-                "--fused", action="store_true",
-                help="run CNN experts through fused conv+relu(+pool) "
-                     "kernels (bit-identical, faster)",
             )
         if name in ("run", "supervise"):
             sub.add_argument(

@@ -61,12 +61,6 @@ class CrowdLearnConfig:
     mic_full_refit_every: int = 20
     mic_warm_epochs: int = 1
 
-    # Fused conv kernels (see repro.nn.layers.fuse_layers): run each CNN
-    # expert's conv+relu(+pool) chains as single-pass fused ops with
-    # preallocated im2col scratch.  Bit-identical to the layer-by-layer
-    # path — a pure execution-strategy switch.
-    fused_kernels: bool = False
-
     # CQC.
     cqc_use_questionnaire: bool = True
 

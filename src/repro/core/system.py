@@ -354,8 +354,6 @@ class CrowdLearnSystem:
             full_refit_every=config.mic_full_refit_every,
             warm_epochs=config.mic_warm_epochs,
         )
-        if config.fused_kernels:
-            committee.set_fused(True)
         if config.qss_adaptive:
             qss: QuerySetSelector = AdaptiveQuerySetSelector(
                 initial_epsilon=config.qss_epsilon
@@ -706,6 +704,35 @@ class CrowdLearnSystem:
                 del registry[query_id]
         return images, labels
 
+    def _retrain(
+        self,
+        images: list[DisasterImage],
+        labels: np.ndarray,
+        n_stragglers: int,
+        gcounters: GuardCounters,
+        tel: Telemetry,
+    ) -> None:
+        """Retrain the committee on one cycle's labeled batch.
+
+        The last ``n_stragglers`` entries of the batch are harvested
+        straggler labels.  With guards on, the retrain is gated (snapshot,
+        holdout, rollback); without, MIC retrains the experts directly.
+        """
+        if n_stragglers and tel.enabled:
+            tel.counter(
+                "stragglers_retrained_total",
+                help="straggler labels fed into MIC retraining",
+            ).inc(n_stragglers)
+        if self.guards is not None:
+            self.guards.guarded_retrain(
+                self.mic, self.committee, images, labels,
+                self.replay_pool, self.rng, gcounters,
+            )
+        else:
+            self.mic.retrain_experts(
+                self.committee, images, labels, self.replay_pool, self.rng
+            )
+
     def _run_cycle(self, cycle: SensingCycle, tel: Telemetry) -> CycleOutcome:
         dataset = cycle.dataset()
         true_labels = dataset.labels()
@@ -950,43 +977,19 @@ class CrowdLearnSystem:
                     )
             with tel.span("cycle.mic.retrain"):
                 query_images = [dataset[int(i)] for i in query_indices]
-                # Harvested straggler labels join this cycle's retraining
-                # batch — late answers still teach, they just teach later.
-                if straggler_images and not flagged:
-                    retrain_images = query_images + straggler_images
-                    retrain_labels = np.concatenate(
-                        [
-                            np.asarray(truthful, dtype=np.int64),
-                            np.asarray(straggler_labels, dtype=np.int64),
-                        ]
-                    )
-                    if tel.enabled:
-                        tel.counter(
-                            "stragglers_retrained_total",
-                            help="straggler labels fed into MIC retraining",
-                        ).inc(len(straggler_images))
-                else:
-                    retrain_images, retrain_labels = query_images, truthful
                 if flagged:
                     if self.mic.retrain and query_images:
                         gcounters.retrains_skipped += 1
-                elif guard is not None:
-                    guard.guarded_retrain(
-                        self.mic,
-                        self.committee,
-                        retrain_images,
-                        retrain_labels,
-                        self.replay_pool,
-                        self.rng,
-                        gcounters,
-                    )
                 else:
-                    self.mic.retrain_experts(
-                        self.committee,
-                        retrain_images,
-                        retrain_labels,
-                        self.replay_pool,
-                        self.rng,
+                    # Harvested straggler labels join this cycle's retraining
+                    # batch — late answers still teach, they just teach later.
+                    self._retrain(
+                        query_images + straggler_images,
+                        np.concatenate([
+                            np.asarray(truthful, dtype=np.int64),
+                            np.asarray(straggler_labels, dtype=np.int64),
+                        ]),
+                        len(straggler_images), gcounters, tel,
                     )
             if jrn is not None:
                 jrn.append(cycle.index, "retrain", {})
@@ -1006,30 +1009,11 @@ class CrowdLearnSystem:
                 # Nothing new was queried this cycle, but last cycle's
                 # stragglers arrived: retrain on them alone.
                 with tel.span("cycle.mic.retrain"):
-                    if tel.enabled:
-                        tel.counter(
-                            "stragglers_retrained_total",
-                            help="straggler labels fed into MIC retraining",
-                        ).inc(len(straggler_images))
-                    labels = np.asarray(straggler_labels, dtype=np.int64)
-                    if guard is not None:
-                        guard.guarded_retrain(
-                            self.mic,
-                            self.committee,
-                            straggler_images,
-                            labels,
-                            self.replay_pool,
-                            self.rng,
-                            gcounters,
-                        )
-                    else:
-                        self.mic.retrain_experts(
-                            self.committee,
-                            straggler_images,
-                            labels,
-                            self.replay_pool,
-                            self.rng,
-                        )
+                    self._retrain(
+                        straggler_images,
+                        np.asarray(straggler_labels, dtype=np.int64),
+                        len(straggler_images), gcounters, tel,
+                    )
                 if jrn is not None:
                     jrn.append(cycle.index, "retrain", {})
 

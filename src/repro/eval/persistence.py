@@ -72,7 +72,9 @@ _FORMAT_VERSION = 1
 # from bit corruption (length vs sha256) in the load error.
 # Version 4 moves every DisasterImage out of the state into a separate
 # image store the envelope names (with its length and SHA-256).
-_CHECKPOINT_VERSION = 4
+# Version 5 drops the fused conv layer classes, which a version 4 state
+# may pickle; rejecting it by version keeps that an integrity error.
+_CHECKPOINT_VERSION = 5
 
 
 class CheckpointIntegrityError(ValueError):

@@ -8,19 +8,13 @@ the test suite.
 
 from repro.nn.init import glorot_uniform, he_normal, zeros
 from repro.nn.layers import (
-    AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    GlobalAveragePool,
     Layer,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
     col2im,
     im2col,
 )
@@ -33,19 +27,13 @@ __all__ = [
     "glorot_uniform",
     "he_normal",
     "zeros",
-    "AvgPool2D",
-    "BatchNorm",
     "Conv2D",
     "Dense",
     "Dropout",
     "Flatten",
-    "GlobalAveragePool",
     "Layer",
     "MaxPool2D",
     "ReLU",
-    "Sigmoid",
-    "Softmax",
-    "Tanh",
     "col2im",
     "im2col",
     "Loss",

@@ -1,17 +1,8 @@
-"""Shared utilities: seeded RNG, simulated clock, logging, validation."""
+"""Shared utilities: seeded RNG, simulated clock, logging."""
 
 from repro.utils.clock import SECONDS_PER_CYCLE, SimulatedClock, TemporalContext
 from repro.utils.logging import RunLog, get_logger
 from repro.utils.rng import SeedSequencer, default_rng, spawn
-from repro.utils.validation import (
-    as_float_array,
-    check_array_shape,
-    check_distribution,
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
 
 __all__ = [
     "SECONDS_PER_CYCLE",
@@ -22,11 +13,4 @@ __all__ = [
     "SeedSequencer",
     "default_rng",
     "spawn",
-    "as_float_array",
-    "check_array_shape",
-    "check_distribution",
-    "check_in_range",
-    "check_non_negative",
-    "check_positive",
-    "check_probability",
 ]

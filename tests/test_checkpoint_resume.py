@@ -209,10 +209,12 @@ class TestIntegrityCheckNames:
         assert self._check_of(path) == "format"
 
     def test_version(self, checkpoint):
-        self._tamper(
-            checkpoint, lambda env: env.update(checkpoint_version=999)
-        )
-        assert self._check_of(checkpoint) == "version"
+        # 4 is the last format whose pickles could hold fused conv layers.
+        for stale in (999, 4):
+            self._tamper(
+                checkpoint, lambda env: env.update(checkpoint_version=stale)
+            )
+            assert self._check_of(checkpoint) == "version"
 
     def test_length(self, checkpoint):
         self._tamper(

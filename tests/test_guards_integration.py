@@ -173,7 +173,6 @@ class TestCheckpointHoldsOnlyLiveState:
         for layer in layers:
             for key in Layer.BACKWARD_CACHES:
                 assert getattr(layer, key, None) is None, (layer, key)
-            assert getattr(layer, "_scratch", {}) == {}
         assert all(len(ring) == 0 for ring in rings)
 
 

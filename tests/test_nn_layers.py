@@ -9,23 +9,14 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    FusedConvReLU,
-    FusedConvReLUPool,
-    GlobalAveragePool,
     Layer,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
     col2im,
-    fuse_layers,
     im2col,
 )
 
@@ -46,20 +37,14 @@ def numerical_grad(f, x, eps=1e-5):
     return grad
 
 
-def check_input_gradient(layer, x, atol=1e-6, training_loss=False):
-    """Compare layer.backward's input gradient to the numerical one.
-
-    ``training_loss`` evaluates the numerical loss in training mode, needed
-    for layers (BatchNorm) whose backward is w.r.t. batch statistics.
-    """
+def check_input_gradient(layer, x, atol=1e-6):
+    """Compare layer.backward's input gradient to the numerical one."""
     out = layer.forward(x, training=True)
     upstream = np.random.default_rng(0).normal(size=out.shape)
     analytic = layer.backward(upstream)
 
     def loss():
-        return float(
-            (layer.forward(x, training=training_loss) * upstream).sum()
-        )
+        return float((layer.forward(x, training=False) * upstream).sum())
 
     numeric = numerical_grad(loss, x)
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=1e-4)
@@ -230,160 +215,12 @@ class TestDropout:
             Dropout(1.0, rng)
 
 
-class TestBatchNorm:
-    def test_training_normalizes(self, rng):
-        layer = BatchNorm(4)
-        x = rng.normal(3.0, 2.0, size=(100, 4))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
-
-    def test_input_gradient(self, rng):
-        layer = BatchNorm(3)
-        check_input_gradient(
-            layer, rng.normal(size=(6, 3)), atol=1e-5, training_loss=True
-        )
-
-    def test_4d_input(self, rng):
-        layer = BatchNorm(2)
-        x = rng.normal(size=(3, 2, 4, 4))
-        assert layer.forward(x, training=True).shape == x.shape
-
-    def test_running_stats_used_at_inference(self, rng):
-        layer = BatchNorm(2, momentum=0.0)
-        x = rng.normal(5.0, 1.0, size=(50, 2))
-        layer.forward(x, training=True)
-        out = layer.forward(x, training=False)
-        assert abs(out.mean()) < 0.2
-
-    def test_state_roundtrip(self, rng):
-        a, b = BatchNorm(3), BatchNorm(3)
-        a.forward(rng.normal(size=(10, 3)), training=True)
-        b.load_state(a.state())
-        np.testing.assert_array_equal(a.running_mean, b.running_mean)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        out = Softmax().forward(rng.normal(size=(5, 3)))
-        np.testing.assert_allclose(out.sum(axis=1), 1.0)
-
-    def test_input_gradient(self, rng):
-        check_input_gradient(Softmax(), rng.normal(size=(3, 4)))
-
-    def test_shift_invariance(self, rng):
-        layer = Softmax()
-        x = rng.normal(size=(2, 3))
-        np.testing.assert_allclose(layer.forward(x), layer.forward(x + 100.0))
-
-
-class TestFusedKernelParity:
-    """Fused conv blocks are an execution strategy, not a new computation.
-
-    Forward activations, input gradients and parameter gradients must be
-    bit-identical (``np.array_equal``, no tolerance) to the layer-by-layer
-    path — the fused kernels reorganize memory traffic, never arithmetic.
-    """
-
-    def _stacks(self, seed=0):
-        import copy
-
-        rng = np.random.default_rng(seed)
-        naive = [
-            Conv2D(3, 5, kernel=3, rng=rng, pad=1),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(5, 7, kernel=3, rng=rng, pad=0, stride=2),
-            ReLU(),
-        ]
-        return naive, fuse_layers(copy.deepcopy(naive))
-
-    @staticmethod
-    def _forward(layers, x, training):
-        out = x
-        for layer in layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    @staticmethod
-    def _backward(layers, grad):
-        for layer in reversed(layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def test_fuse_collapses_blocks(self):
-        _, fused = self._stacks()
-        assert len(fused) == 2
-        assert type(fused[0]) is FusedConvReLUPool
-        assert type(fused[1]) is FusedConvReLU
-
-    @pytest.mark.parametrize("training", [False, True])
-    def test_forward_bit_identical(self, training):
-        naive, fused = self._stacks()
-        x = np.random.default_rng(1).normal(size=(4, 3, 12, 12))
-        assert np.array_equal(
-            self._forward(naive, x, training),
-            self._forward(fused, x, training),
-        )
-
-    def test_backward_and_param_grads_bit_identical(self):
-        naive, fused = self._stacks()
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 3, 12, 12))
-        out = self._forward(naive, x, training=True)
-        assert np.array_equal(out, self._forward(fused, x, training=True))
-        upstream = rng.normal(size=out.shape)
-        grad_naive = self._backward(naive, upstream)
-        grad_fused = self._backward(fused, upstream)
-        assert np.array_equal(grad_naive, grad_fused)
-        naive_grads = [g for layer in naive for g in layer.grads()]
-        fused_grads = [g for layer in fused for g in layer.grads()]
-        assert len(naive_grads) == len(fused_grads) == 4  # 2x (weight, bias)
-        for gn, gf in zip(naive_grads, fused_grads):
-            assert np.array_equal(gn, gf)
-
-    def test_small_channel_path_bit_identical(self):
-        """The strided-gather / loop-gather split must not change values.
-
-        A 1-input-channel stack keeps ``c * k * k`` under the gather
-        threshold, exercising the loop path; the wide stack above takes the
-        as_strided path.  Both must match the reference exactly.
-        """
-        import copy
-
-        rng = np.random.default_rng(3)
-        naive = [Conv2D(1, 3, kernel=2, rng=rng, pad=1), ReLU(), MaxPool2D(2)]
-        fused = fuse_layers(copy.deepcopy(naive))
-        x = np.random.default_rng(4).normal(size=(2, 1, 9, 9))
-        out = self._forward(naive, x, training=True)
-        assert np.array_equal(out, self._forward(fused, x, training=True))
-        upstream = np.random.default_rng(5).normal(size=out.shape)
-        assert np.array_equal(
-            self._backward(naive, upstream), self._backward(fused, upstream)
-        )
-
-    def test_fuse_clears_stale_backward_caches(self):
-        """Fusing after a training step must drop the wrapped layers' caches.
-
-        Without this, a freshly-fused model would hold the last
-        pre-fusion minibatch (im2col patches, pool masks) in memory forever.
-        """
-        naive, _ = self._stacks()
-        x = np.random.default_rng(6).normal(size=(4, 3, 12, 12))
-        self._forward(naive, x, training=True)  # populate every cache
-        fused = fuse_layers(naive)
-        block = fused[0]
-        assert block.conv._cols is None and block.conv._x_shape is None
-        assert block.relu._mask is None
-        assert block.pool._mask is None and block.pool._x_shape is None
-
-
 class TestPicklingContract:
     """A pickled or deep-copied layer carries only live state.
 
     Backward caches are dropped (they belong to the minibatch that produced
-    them); parameters, gradient buffers, running statistics and RNGs are
-    kept, so training resumes from the copy exactly as from the original.
+    them); parameters, gradient buffers and RNGs are kept, so training
+    resumes from the copy exactly as from the original.
     """
 
     @staticmethod
@@ -396,22 +233,9 @@ class TestPicklingContract:
             Dense: (Dense(6, 5, rng), flat),
             Conv2D: (Conv2D(3, 4, kernel=3, rng=rng, pad=1), image),
             MaxPool2D: (MaxPool2D(2), image),
-            AvgPool2D: (AvgPool2D(2), image),
-            GlobalAveragePool: (GlobalAveragePool(), image),
             ReLU: (ReLU(), flat),
-            Sigmoid: (Sigmoid(), flat),
-            Tanh: (Tanh(), flat),
             Flatten: (Flatten(), image),
             Dropout: (Dropout(0.5, np.random.default_rng(21)), flat),
-            BatchNorm: (BatchNorm(3), image),
-            Softmax: (Softmax(), flat),
-            FusedConvReLU: (
-                FusedConvReLU(Conv2D(3, 4, kernel=3, rng=rng, pad=1)), image
-            ),
-            FusedConvReLUPool: (
-                FusedConvReLUPool(Conv2D(3, 4, kernel=3, rng=rng, pad=1)),
-                image,
-            ),
         }
 
     @staticmethod
@@ -420,8 +244,7 @@ class TestPicklingContract:
         while pending:
             cls = pending.pop()
             pending.extend(cls.__subclasses__())
-            if not cls.__name__.startswith("_"):
-                found.add(cls)
+            found.add(cls)
         return found
 
     def test_every_layer_class_is_covered(self):
@@ -439,33 +262,18 @@ class TestPicklingContract:
                 clone = pickle.loads(pickle.dumps(layer))
             else:
                 clone = copy.deepcopy(layer)
-            for sub, sub_clone in ((layer, clone), *self._wrapped(layer, clone)):
-                for key in Layer.BACKWARD_CACHES:
-                    if key in vars(sub):
-                        assert getattr(sub_clone, key) is None, (cls, key)
-                assert getattr(sub_clone, "_scratch", {}) == {}, cls
+            for key in Layer.BACKWARD_CACHES:
+                if key in vars(layer):
+                    assert getattr(clone, key) is None, (cls, key)
             assert len(clone.params()) == len(layer.params())
             for a, b in zip(layer.params() + layer.grads(),
                             clone.params() + clone.grads()):
                 assert np.array_equal(a, b), cls
-            if isinstance(layer, BatchNorm):
-                for key in ("running_mean", "running_var"):
-                    assert np.array_equal(getattr(layer, key),
-                                          getattr(clone, key))
             if isinstance(layer, Dropout):
                 assert clone._rng is not layer._rng
                 assert (clone._rng.bit_generator.state
                         == layer._rng.bit_generator.state)
             layer.backward(np.ones_like(out))  # the original keeps its caches
-
-    @staticmethod
-    def _wrapped(layer, clone):
-        """(original, copy) pairs of the layers a fused block wraps."""
-        return [
-            (getattr(layer, name), getattr(clone, name))
-            for name in ("conv", "relu", "pool")
-            if hasattr(layer, name)
-        ]
 
     @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
     def test_training_resumes_identically_from_a_copy(self, how):
@@ -480,11 +288,11 @@ class TestPicklingContract:
         rng = np.random.default_rng(30)
         model = Sequential([
             Conv2D(3, 4, kernel=3, rng=rng, pad=1), ReLU(), MaxPool2D(2),
-            Conv2D(4, 4, kernel=3, rng=rng, pad=1), BatchNorm(4), Tanh(),
-            AvgPool2D(2), Conv2D(4, 4, kernel=1, rng=rng), Sigmoid(),
+            Conv2D(4, 4, kernel=3, rng=rng, pad=1), ReLU(), MaxPool2D(2),
+            Conv2D(4, 4, kernel=1, rng=rng), ReLU(),
             Flatten(), Dropout(0.3, np.random.default_rng(31)),
             Dense(16, 3, rng),
-        ]).fuse()
+        ])
         optimizer = Adam(model.params(), model.grads(), lr=0.01)
         x = rng.normal(size=(12, 3, 8, 8))
         y = rng.integers(0, 3, size=12)
