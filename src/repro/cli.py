@@ -1017,7 +1017,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--repeats", type=int, default=3,
-                help="best-of repeats for the committee-vote timing",
+                help="best-of repeats for the committee-vote timing and "
+                     "for each arm of the cold-vs-warm retrain A/B (run "
+                     "interleaved)",
             )
             sub.add_argument(
                 "--check", action="store_true",

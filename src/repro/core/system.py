@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,53 @@ class StragglerRecord:
 
     image: DisasterImage
     result: QueryResult
+
+
+class _NullJournal:
+    """Stand-in for an absent write-ahead journal: records and replays nothing.
+
+    Not a :class:`~repro.eval.journal.CycleJournal` subclass, so counts of
+    ``CycleJournal.append`` calls still mean records actually written.
+    """
+
+    __slots__ = ()
+
+    def append(self, cycle: int, stage: str, payload) -> None:
+        return None
+
+    def peek_replay(self, cycle: int, stage: str) -> None:
+        return None
+
+
+_NULL_JOURNAL = _NullJournal()
+
+
+@dataclass
+class _CrowdBatch:
+    """What one cycle's post stage bought.
+
+    ``posted``/``arms``/``results`` go on to CQC; ``incentives`` and
+    ``cost`` also count the all-late queries.
+    """
+
+    posted: list[int] = field(default_factory=list)
+    arms: list[int] = field(default_factory=list)
+    results: list[QueryResult] = field(default_factory=list)
+    incentives: list[float] = field(default_factory=list)
+    cost: float = 0.0
+
+    @property
+    def query_indices(self) -> np.ndarray:
+        return np.array(self.posted, dtype=np.int64)
+
+
+class _Fused(NamedTuple):
+    """The fuse stage's truthful labels (empty when nothing was answered)."""
+
+    labels: np.ndarray
+    distributions: np.ndarray
+    flagged: bool  # the guard's drift detector rejected these labels
+    mask: np.ndarray | None  # experts still active after the guard's check
 
 
 @dataclass(frozen=True)
@@ -218,10 +266,6 @@ class CrowdLearnSystem:
         #: directly (the historical loop).  Results are bit-identical
         #: either way — the cache only removes redundant inference.
         self.cache = cache
-        if cache is not None:
-            self.committee.attach_cache(cache)
-            if self.guards is not None:
-                self.guards.cache = cache
         #: Virtual-time scheduler; ``None`` keeps the loop synchronous and
         #: byte-identical to the instant-response reproduction.  Attached,
         #: each sensing cycle becomes a real deadline and late responses
@@ -240,13 +284,12 @@ class CrowdLearnSystem:
         #: serving layer (``repro.serve``); ``None`` for standalone runs.
         #: Scopes the prediction-cache namespace and telemetry labels.
         self.event_id = event_id
-        if event_id is not None and cache is not None:
+        if cache is not None:
             # Share the physical stores, isolate the key space: a served
             # event must never read another event's memoized votes.
-            self.cache = cache.scoped(event_id)
-            self.committee.attach_cache(self.cache)
-            if self.guards is not None:
-                self.guards.cache = self.cache
+            self.attach_cache(
+                cache if event_id is None else cache.scoped(event_id)
+            )
         #: Per-cycle admission cap imposed by the shared crowd pool;
         #: ``None`` (standalone runs) falls back to
         #: ``config.queries_per_cycle``.  May exceed the nominal per-cycle
@@ -262,6 +305,17 @@ class CrowdLearnSystem:
 
     def _telemetry(self) -> Telemetry:
         return self.telemetry if self.telemetry is not None else get_telemetry()
+
+    def attach_cache(self, cache: PredictionCache) -> None:
+        """Route committee votes and guard holdout scoring through ``cache``.
+
+        The serving layer re-attaches its event-scoped view after restoring
+        a checkpoint, whose pickle drops cache entries.
+        """
+        self.cache = cache
+        self.committee.attach_cache(cache)
+        if self.guards is not None:
+            self.guards.cache = cache
 
     def __getstate__(self) -> dict:
         # The journal holds an open file handle and belongs to exactly one
@@ -472,40 +526,35 @@ class CrowdLearnSystem:
             "expired": scheduler.expired_total if scheduler is not None else 0,
         }
 
-    def _post_counter_deltas(
-        self, counters: ResilienceCounters, before: dict
+    def _post_payload(
+        self, kind: str, index: int, arm: int, incentive: float,
+        counters: ResilienceCounters, before: dict, **effects,
     ) -> dict:
+        """Journal payload for one post: the attempt and its counter deltas.
+
+        A charged post (``kind="posted"``) adds its ``effects``.  ``budget``
+        (the ledger refused the charge) and ``dropped`` (outage retries
+        exhausted) have no external effects, so recovery simply re-executes
+        them; their records anchor crash points and verify that
+        re-execution reaches the same outcome.
+        """
         faults = self.platform.faults
         return {
+            "kind": kind,
+            "index": int(index),
+            "arm": int(arm),
+            "incentive": float(incentive),
             "retries": int(counters.retries - before["retries"]),
             "backoff_seconds": float(
                 counters.backoff_seconds - before["backoff_seconds"]
             ),
             "outages_hit": int(counters.outages_hit - before["outages_hit"]),
             "faults_state": None if faults is None else faults.state_dict(),
-        }
-
-    def _post_failure_payload(
-        self, kind: str, index, arm: int, incentive: float,
-        counters: ResilienceCounters, before: dict,
-    ) -> dict:
-        """Journal payload for a post that charged nothing.
-
-        ``budget`` (the ledger refused the charge) and ``dropped`` (outage
-        retries exhausted) have no external effects, so recovery simply
-        re-executes them; the record exists to anchor crash points and to
-        verify that re-execution reaches the same outcome.
-        """
-        return {
-            "kind": kind,
-            "index": int(index),
-            "arm": int(arm),
-            "incentive": float(incentive),
-            **self._post_counter_deltas(counters, before),
+            **effects,
         }
 
     def _post_success_payload(
-        self, result: QueryResult, paid: float, index, arm: int,
+        self, result: QueryResult, paid: float, index: int, arm: int,
         incentive: float, counters: ResilienceCounters, before: dict,
         scheduler: VirtualTimeScheduler | None,
     ) -> dict:
@@ -526,25 +575,21 @@ class CrowdLearnSystem:
                 for e in scheduler.events_since(before["next_seq"])
             ]
             n_expired = int(scheduler.expired_total - before["expired"])
-        return {
-            "kind": "posted",
-            "index": int(index),
-            "arm": int(arm),
-            "incentive": float(incentive),
-            "paid": float(paid),
-            "query_id": int(result.query.query_id),
-            "image_id": result.query.image_id,
-            "deadline": (
+        return self._post_payload(
+            "posted", index, arm, incentive, counters, before,
+            paid=float(paid),
+            query_id=int(result.query.query_id),
+            image_id=result.query.image_id,
+            deadline=(
                 None if result.deadline_seconds is None
                 else float(result.deadline_seconds)
             ),
-            "n_late": int(result.n_late),
-            "n_expired": n_expired,
-            "responses": [encode_response(r) for r in result.responses],
-            "scheduled": scheduled,
-            "rng_state": self.platform.rng.bit_generator.state,
-            **self._post_counter_deltas(counters, before),
-        }
+            n_late=int(result.n_late),
+            n_expired=n_expired,
+            responses=[encode_response(r) for r in result.responses],
+            scheduled=scheduled,
+            rng_state=self.platform.rng.bit_generator.state,
+        )
 
     def _replay_post(
         self,
@@ -704,92 +749,63 @@ class CrowdLearnSystem:
                 del registry[query_id]
         return images, labels
 
-    def _retrain(
-        self,
-        images: list[DisasterImage],
-        labels: np.ndarray,
-        n_stragglers: int,
-        gcounters: GuardCounters,
-        tel: Telemetry,
-    ) -> None:
-        """Retrain the committee on one cycle's labeled batch.
-
-        The last ``n_stragglers`` entries of the batch are harvested
-        straggler labels.  With guards on, the retrain is gated (snapshot,
-        holdout, rollback); without, MIC retrains the experts directly.
-        """
-        if n_stragglers and tel.enabled:
-            tel.counter(
-                "stragglers_retrained_total",
-                help="straggler labels fed into MIC retraining",
-            ).inc(n_stragglers)
-        if self.guards is not None:
-            self.guards.guarded_retrain(
-                self.mic, self.committee, images, labels,
-                self.replay_pool, self.rng, gcounters,
-            )
-        else:
-            self.mic.retrain_experts(
-                self.committee, images, labels, self.replay_pool, self.rng
-            )
-
     def _run_cycle(self, cycle: SensingCycle, tel: Telemetry) -> CycleOutcome:
-        dataset = cycle.dataset()
-        true_labels = dataset.labels()
-        policy = self.resilience
-        guard = self.guards
-        counters = ResilienceCounters()
-        scheduler = self.scheduler
-        # Write-ahead journal.  Each append below marks a stage boundary;
-        # during crash recovery the same appends are verified against the
-        # journaled history, and journaled posts are served from the log
-        # instead of re-posted.
-        jrn = self.journal
-        if jrn is not None:
-            jrn.append(cycle.index, "cycle_start",
-                       {"context": cycle.context.value})
-        straggler_images: list[DisasterImage] = []
-        straggler_labels: list[int] = []
-        if scheduler is not None:
-            # Advance virtual time to this cycle's boundary and harvest the
-            # straggler responses that arrived while the requester slept.
-            with tel.span("scheduler.harvest", cycle=cycle.index) as hspan:
-                scheduler.advance_to(
-                    scheduler.cycle_start(cycle.index)
-                )
-                harvested = self.platform.collect_stragglers()
-                if harvested:
-                    counters.stragglers_harvested += len(harvested)
-                    straggler_images, straggler_labels = (
-                        self._absorb_stragglers(harvested)
-                    )
-                if tel.enabled:
-                    hspan.set(
-                        harvested=len(harvested),
-                        pending=scheduler.pending_count,
-                    )
-            if jrn is not None:
-                jrn.append(cycle.index, "harvest",
-                           {"harvested": len(harvested),
-                            "pending": scheduler.pending_count})
-        if guard is not None and guard.n_experts != self.committee.n_experts:
-            # A new committee was swapped into a live system: per-expert
-            # guard memory no longer describes anything real.
-            guard.rebind(self.committee.n_experts)
-        gcounters = GuardCounters()
-        mask = guard.active_mask() if guard is not None else None
-        cache = self.cache
-        if cache is not None:
-            if self.committee.cache is not cache:
-                # A new committee was swapped in (or experts replaced
-                # wholesale): route its votes through the shared cache too.
-                self.committee.attach_cache(cache)
-            if guard is not None and guard.cache is not cache:
-                guard.cache = cache
-        cache_stats_before = cache.stats() if cache is not None else None
+        """Figure 4's loop as six stages, each owning its spans and records.
 
-        # ① committee votes and query selection (quarantined members, if
-        # any, are excluded from the uncertainty estimate via ``mask``).
+        Every journal append marks a stage boundary; during crash recovery
+        the same appends are verified against the journaled history, and
+        journaled posts are served from the log instead of re-posted.
+        """
+        jrn = self.journal if self.journal is not None else _NULL_JOURNAL
+        dataset = cycle.dataset()
+        counters = ResilienceCounters()
+        gcounters = GuardCounters()
+        cache_before = self.cache.stats() if self.cache is not None else None
+        jrn.append(cycle.index, "cycle_start", {"context": cycle.context.value})
+        stragglers = self._harvest(cycle, counters, jrn, tel)
+        votes, mask, query_indices = self._select(cycle, dataset, jrn, tel)
+        crowd = self._post(cycle, dataset, query_indices, counters, jrn, tel)
+        fused = self._fuse(cycle, dataset, crowd, votes, mask, gcounters, jrn, tel)
+        self._calibrate(cycle, dataset, crowd, fused, votes, stragglers,
+                        gcounters, jrn, tel)
+        return self._publish(cycle, dataset, crowd, fused, votes, counters,
+                             gcounters, cache_before, jrn, tel)
+
+    def _harvest(self, cycle: SensingCycle, counters: ResilienceCounters,
+                 jrn, tel: Telemetry) -> tuple[list[DisasterImage], list[int]]:
+        """Advance virtual time to the cycle boundary and absorb stragglers."""
+        scheduler = self.scheduler
+        if scheduler is None:
+            return [], []
+        with tel.span("scheduler.harvest", cycle=cycle.index) as span:
+            scheduler.advance_to(scheduler.cycle_start(cycle.index))
+            harvested = self.platform.collect_stragglers()
+            counters.stragglers_harvested += len(harvested)
+            stragglers = self._absorb_stragglers(harvested)
+            if tel.enabled:
+                span.set(harvested=len(harvested),
+                         pending=scheduler.pending_count)
+        jrn.append(cycle.index, "harvest",
+                   {"harvested": len(harvested),
+                    "pending": scheduler.pending_count})
+        return stragglers
+
+    def _select(
+        self, cycle: SensingCycle, dataset: DisasterDataset, jrn, tel: Telemetry
+    ) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray]:
+        """① Committee votes, entropy and the QSS query set."""
+        guard = self.guards
+        mask = None  # excludes the experts the guard has quarantined
+        if guard is not None:
+            if guard.n_experts != self.committee.n_experts:
+                # A new committee was swapped into a live system: per-expert
+                # guard memory no longer describes anything real.
+                guard.rebind(self.committee.n_experts)
+            mask = guard.active_mask()
+        if self.cache is not None:
+            # A committee swapped in (or experts replaced wholesale) must
+            # route its votes through the shared cache too.
+            self.attach_cache(self.cache)
         with tel.span("cycle.committee"):
             votes = self.committee.expert_votes(dataset)
             entropy = self.committee.committee_entropy(dataset, votes, mask=mask)
@@ -798,306 +814,295 @@ class CrowdLearnSystem:
             desired = self.config.queries_per_cycle if cap is None else cap
             query_size = min(desired, len(dataset))
             query_indices = self.qss.select(entropy, query_size, self.rng)
-        if jrn is not None:
-            jrn.append(cycle.index, "qss",
-                       {"indices": [int(i) for i in query_indices]})
+        jrn.append(cycle.index, "qss",
+                   {"indices": [int(i) for i in query_indices]})
+        return votes, mask, query_indices
 
-        incentives: list[float] = []
-        results: list[QueryResult] = []
-        arms: list[int] = []
-        cost = 0.0
-        posted_indices: list[int] = []
+    def _post(self, cycle: SensingCycle, dataset: DisasterDataset,
+              query_indices: np.ndarray, counters: ResilienceCounters, jrn,
+              tel: Telemetry) -> _CrowdBatch:
+        """② Price and post the query set until the budget runs out."""
+        batch = _CrowdBatch()
         with tel.span("cycle.crowd", queries=len(query_indices)):
             for index in query_indices:
-                deadline = None
-                if scheduler is not None:
-                    # What is left of this sensing cycle is the query's
-                    # deadline: retry backoff already spent is gone.
-                    deadline = (
-                        self.config.cycle_seconds - counters.backoff_seconds
-                    )
-                    if deadline <= 0:
-                        counters.dropped_queries += 1
-                        continue  # the cycle is over before we could post
-                with tel.span("cycle.ipd.price"):
-                    arm, incentive = self.ipd.price_query(cycle.context)
-                metadata = dataset[int(index)].metadata
-                replayed = None
-                before = None
-                if jrn is not None:
-                    jrn.append(cycle.index, "post_intent",
-                               {"index": int(index), "arm": int(arm),
-                                "incentive": float(incentive)})
-                    replayed = jrn.peek_replay(cycle.index, "post")
-                    before = self._pre_post_marks(counters, scheduler)
-                if replayed is not None and replayed.get("kind") == "posted":
-                    # The crashed run already paid for this query: apply
-                    # the journaled effects, never post or charge again.
-                    result, paid = self._replay_post(
-                        cycle, replayed, counters, scheduler
-                    )
-                    jrn.append(cycle.index, "post", replayed)
-                    jrn.requeries_avoided_cents += paid
-                else:
-                    try:
-                        result, paid = self._post_with_retries(
-                            metadata, incentive, cycle.context, counters,
-                            deadline_seconds=deadline,
-                        )
-                    except BudgetExhausted:
-                        if jrn is not None:
-                            jrn.append(cycle.index, "post",
-                                       self._post_failure_payload(
-                                           "budget", index, arm, incentive,
-                                           counters, before))
-                        break  # budget gone: images stay with the AI
-                    except PlatformUnavailable:
-                        if not policy.enabled:
-                            raise
-                        counters.dropped_queries += 1
-                        if jrn is not None:
-                            jrn.append(cycle.index, "post",
-                                       self._post_failure_payload(
-                                           "dropped", index, arm, incentive,
-                                           counters, before))
-                        continue  # this image stays with the AI
-                    if jrn is not None:
-                        jrn.append(cycle.index, "post",
-                                   self._post_success_payload(
-                                       result, paid, index, arm, incentive,
-                                       counters, before, scheduler))
-                if not result.responses and policy.enabled:
-                    if result.n_late:
-                        # Every worker answered — after the deadline.  The
-                        # money is spent on submitted work (no refund), IPD
-                        # observes the realized cost of waiting the cycle
-                        # out, and (under "harvest") the answers arrive as
-                        # stragglers in a later cycle.
-                        counters.late_queries += 1
-                        counters.late_spent_cents += paid
-                        cost += paid
-                        incentives.append(paid)
-                        self.ipd.observe(
-                            cycle.context, arm, self._observed_delay(result)
-                        )
-                        if self.platform.scheduler is not None:
-                            self._straggler_queries[result.query.query_id] = (
-                                StragglerRecord(
-                                    image=dataset[int(index)], result=result
-                                )
-                            )
-                        if policy.fallback_to_committee:
-                            counters.fallbacks += 1
-                        continue
-                    # Charged, but nobody submitted anything (abandonment):
-                    # refund and keep the committee's label.
-                    if policy.refund_failed:
-                        self.ledger.refund(paid)
-                        counters.refunds += 1
-                        counters.refunded_cents += paid
-                    else:
-                        cost += paid
-                    if policy.fallback_to_committee:
-                        counters.fallbacks += 1
-                    continue
-                if result.n_late and self.platform.scheduler is not None:
-                    # Partially late: the on-time responses proceed through
-                    # CQC now; the rest will be folded in at harvest.
-                    self._straggler_queries[result.query.query_id] = (
-                        StragglerRecord(image=dataset[int(index)], result=result)
-                    )
-                incentives.append(paid)
-                arms.append(arm)
-                results.append(result)
-                posted_indices.append(int(index))
-                cost += paid
-        query_indices = np.array(posted_indices, dtype=np.int64)
+                if not self._post_one(cycle, dataset, int(index), batch,
+                                      counters, jrn, tel):
+                    break  # budget gone: the rest stay with the AI
+        return batch
 
-        # ③ quality control + ④ calibration (only if anything was queried).
-        flagged = False
-        if results:
-            with tel.span("cycle.cqc", queries=len(results)):
-                truthful = self.cqc.truthful_labels(results)
-                truth_dists = self.cqc.label_distributions(results)
-                # Reliability must be read *before* this cycle's answers are
-                # graded, so it reflects strictly historical behaviour.
-                reliability = (
-                    self._cycle_worker_reliability(results)
-                    if guard is not None
-                    else None
+    def _post_one(self, cycle: SensingCycle, dataset: DisasterDataset,
+                  index: int, batch: _CrowdBatch, counters: ResilienceCounters,
+                  jrn, tel: Telemetry) -> bool:
+        """Price, post (or replay) and triage one query; False once out of budget."""
+        policy = self.resilience
+        scheduler = self.scheduler
+        deadline = None
+        if scheduler is not None:
+            # What is left of this sensing cycle is the query's deadline:
+            # retry backoff already spent is gone.
+            deadline = self.config.cycle_seconds - counters.backoff_seconds
+            if deadline <= 0:
+                counters.dropped_queries += 1
+                return True  # the cycle is over before we could post
+        with tel.span("cycle.ipd.price"):
+            arm, incentive = self.ipd.price_query(cycle.context)
+        jrn.append(cycle.index, "post_intent",
+                   {"index": index, "arm": int(arm),
+                    "incentive": float(incentive)})
+        replayed = jrn.peek_replay(cycle.index, "post")
+        before = self._pre_post_marks(counters, scheduler)
+        if replayed is not None and replayed.get("kind") == "posted":
+            # The crashed run already paid for this query: apply the
+            # journaled effects, never post or charge again.
+            result, paid = self._replay_post(cycle, replayed, counters,
+                                             scheduler)
+            jrn.append(cycle.index, "post", replayed)
+            jrn.requeries_avoided_cents += paid
+        else:
+            try:
+                result, paid = self._post_with_retries(
+                    dataset[index].metadata, incentive, cycle.context,
+                    counters, deadline_seconds=deadline,
                 )
-                for result, label in zip(results, truthful):
-                    self.platform.reveal_ground_truth(
-                        result.query.query_id, int(label)
-                    )
-            if jrn is not None:
-                jrn.append(cycle.index, "cqc",
-                           {"labels": [int(x) for x in truthful],
-                            "query_ids": [
-                                int(r.query.query_id) for r in results
-                            ]})
-            query_votes = [v[query_indices] for v in votes]
-            pre_vote: np.ndarray | None = None
-            if guard is not None or isinstance(self.qss, AdaptiveQuerySetSelector):
-                pre_vote = self.committee.committee_vote(dataset, votes, mask=mask)
+            except BudgetExhausted:
+                jrn.append(cycle.index, "post", self._post_payload(
+                    "budget", index, arm, incentive, counters, before))
+                return False
+            except PlatformUnavailable:
+                if not policy.enabled:
+                    raise
+                counters.dropped_queries += 1
+                jrn.append(cycle.index, "post", self._post_payload(
+                    "dropped", index, arm, incentive, counters, before))
+                return True
+            jrn.append(cycle.index, "post", self._post_success_payload(
+                result, paid, index, arm, incentive, counters, before,
+                scheduler))
+        if result.n_late and self.platform.scheduler is not None:
+            # Late responses are folded back into this query at a later
+            # cycle's harvest; on-time ones (if any) go through CQC now.
+            self._straggler_queries[result.query.query_id] = StragglerRecord(
+                image=dataset[index], result=result
+            )
+        if not result.responses and policy.enabled:
+            if result.n_late:
+                # Every worker answered, after the deadline: the money is
+                # spent on submitted work (no refund), and IPD observes the
+                # realized cost of waiting the cycle out.
+                counters.late_queries += 1
+                counters.late_spent_cents += paid
+                batch.cost += paid
+                batch.incentives.append(paid)
+                self.ipd.observe(cycle.context, arm,
+                                 self._observed_delay(result))
+            elif policy.refund_failed:
+                # Charged, but nobody submitted anything (abandonment).
+                self.ledger.refund(paid)
+                counters.refunds += 1
+                counters.refunded_cents += paid
+            else:
+                batch.cost += paid
+            if policy.fallback_to_committee:
+                counters.fallbacks += 1
+            return True
+        batch.posted.append(index)
+        batch.arms.append(arm)
+        batch.results.append(result)
+        batch.incentives.append(paid)
+        batch.cost += paid
+        return True
+
+    def _fuse(self, cycle: SensingCycle, dataset: DisasterDataset,
+              crowd: _CrowdBatch, votes: list[np.ndarray],
+              mask: np.ndarray | None, gcounters: GuardCounters, jrn,
+              tel: Telemetry) -> _Fused:
+        """③ CQC truthful labels, ground-truth reveal and the guard's check."""
+        results = crowd.results
+        if not results:  # nothing to fuse, nothing to journal
+            n_classes = self.committee.experts[0].n_classes
+            return _Fused(np.empty(0, dtype=np.int64),
+                          np.empty((0, n_classes)), False, mask)
+        guard = self.guards
+        query_indices = crowd.query_indices
+        with tel.span("cycle.cqc", queries=len(results)):
+            truthful = self.cqc.truthful_labels(results)
+            truth_dists = self.cqc.label_distributions(results)
+            # Reliability must be read *before* this cycle's answers are
+            # graded, so it reflects strictly historical behaviour.
+            reliability = (self._cycle_worker_reliability(results)
+                           if guard is not None else None)
+            for result, label in zip(results, truthful):
+                self.platform.reveal_ground_truth(result.query.query_id,
+                                                  int(label))
+        jrn.append(cycle.index, "cqc",
+                   {"labels": [int(x) for x in truthful],
+                    "query_ids": [int(r.query.query_id) for r in results]})
+        pre_vote = self.committee.committee_vote(dataset, votes, mask=mask)
+        if isinstance(self.qss, AdaptiveQuerySetSelector):
             # VDBE extension: feed the surprise (mean committee-vs-truth
             # divergence on the query set) back into an adaptive QSS.
-            if isinstance(self.qss, AdaptiveQuerySetSelector):
-                from repro.metrics.information import bounded_divergence
+            from repro.metrics.information import bounded_divergence
 
-                surprise = float(
-                    np.mean(
-                        [
-                            bounded_divergence(pre_vote[int(i)], dist)
-                            for i, dist in zip(query_indices, truth_dists)
-                        ]
-                    )
-                )
-                self.qss.observe_surprise(surprise)
-            if guard is not None:
-                guard.observe_committee(self.committee, gcounters)
-                mask = guard.active_mask()
-                consensus = np.argmax(pre_vote[query_indices], axis=1)
-                flagged = guard.observe_labels(
-                    consensus, truthful, reliability, gcounters
-                )
-            if jrn is not None:
-                jrn.append(cycle.index, "guard", {"flagged": bool(flagged)})
+            self.qss.observe_surprise(float(np.mean([
+                bounded_divergence(pre_vote[int(i)], dist)
+                for i, dist in zip(query_indices, truth_dists)
+            ])))
+        flagged = False
+        if guard is not None:
+            guard.observe_committee(self.committee, gcounters)
+            mask = guard.active_mask()
+            consensus = np.argmax(pre_vote[query_indices], axis=1)
+            flagged = guard.observe_labels(consensus, truthful, reliability,
+                                           gcounters)
+        jrn.append(cycle.index, "guard", {"flagged": bool(flagged)})
+        return _Fused(truthful, truth_dists, flagged, mask)
+
+    def _calibrate(self, cycle: SensingCycle, dataset: DisasterDataset,
+                   crowd: _CrowdBatch, fused: _Fused, votes: list[np.ndarray],
+                   stragglers: tuple[list[DisasterImage], list[int]],
+                   gcounters: GuardCounters, jrn, tel: Telemetry) -> None:
+        """④ MIC reweights and retrains the committee; IPD observes delays.
+
+        Harvested straggler labels join the retraining batch (late answers
+        still teach, they just teach later).  With guards on, a retrain is
+        gated (snapshot, holdout, rollback); a drift-flagged cycle skips
+        it and, per policy, the reweight.
+        """
+        straggler_images, straggler_labels = stragglers
+        query_indices = crowd.query_indices
+        if crowd.results:
             with tel.span("cycle.mic.reweight"):
-                if (
-                    flagged
-                    and guard.policy.drift_skips_reweight
-                    and self.mic.reweight
-                ):
+                if (fused.flagged and self.guards.policy.drift_skips_reweight
+                        and self.mic.reweight):
                     gcounters.reweights_skipped += 1
                 else:
                     self.mic.update_weights(
-                        self.committee, query_votes, truth_dists,
-                        active_mask=mask,
+                        self.committee, [v[query_indices] for v in votes],
+                        fused.distributions, active_mask=fused.mask,
                     )
+        if crowd.results or straggler_images:
             with tel.span("cycle.mic.retrain"):
-                query_images = [dataset[int(i)] for i in query_indices]
-                if flagged:
-                    if self.mic.retrain and query_images:
+                images = [dataset[int(i)] for i in query_indices]
+                if fused.flagged:
+                    if self.mic.retrain and images:
                         gcounters.retrains_skipped += 1
                 else:
-                    # Harvested straggler labels join this cycle's retraining
-                    # batch — late answers still teach, they just teach later.
-                    self._retrain(
-                        query_images + straggler_images,
-                        np.concatenate([
-                            np.asarray(truthful, dtype=np.int64),
-                            np.asarray(straggler_labels, dtype=np.int64),
-                        ]),
-                        len(straggler_images), gcounters, tel,
-                    )
-            if jrn is not None:
-                jrn.append(cycle.index, "retrain", {})
-            with tel.span("cycle.ipd.observe"):
-                for result, arm in zip(results, arms):
-                    self.ipd.observe(
-                        cycle.context, arm, self._observed_delay(result)
-                    )
-            crowd_delay = float(
-                np.mean([self._observed_delay(r) for r in results])
-            )
-        else:
-            truthful = np.empty(0, dtype=np.int64)
-            truth_dists = np.empty((0, self.committee.experts[0].n_classes))
-            crowd_delay = 0.0
-            if straggler_images:
-                # Nothing new was queried this cycle, but last cycle's
-                # stragglers arrived: retrain on them alone.
-                with tel.span("cycle.mic.retrain"):
-                    self._retrain(
-                        straggler_images,
+                    if straggler_images and tel.enabled:
+                        tel.counter(
+                            "stragglers_retrained_total",
+                            help="straggler labels fed into MIC retraining",
+                        ).inc(len(straggler_images))
+                    images += straggler_images
+                    labels = np.concatenate([
+                        np.asarray(fused.labels, dtype=np.int64),
                         np.asarray(straggler_labels, dtype=np.int64),
-                        len(straggler_images), gcounters, tel,
-                    )
-                if jrn is not None:
-                    jrn.append(cycle.index, "retrain", {})
+                    ])
+                    if self.guards is not None:
+                        self.guards.guarded_retrain(
+                            self.mic, self.committee, images, labels,
+                            self.replay_pool, self.rng, gcounters,
+                        )
+                    else:
+                        self.mic.retrain_experts(self.committee, images,
+                                                 labels, self.replay_pool,
+                                                 self.rng)
+            jrn.append(cycle.index, "retrain", {})
+        if crowd.results:
+            with tel.span("cycle.ipd.observe"):
+                for result, arm in zip(crowd.results, crowd.arms):
+                    self.ipd.observe(cycle.context, arm,
+                                     self._observed_delay(result))
 
-        # Final labels: reweighted committee, query set offloaded to the
-        # crowd — unless the drift detector flagged this cycle's labels, in
-        # which case the committee's own labels stand (labels too anomalous
-        # to train on are too anomalous to publish).
-        committee_vote = self.committee.committee_vote(dataset, votes, mask=mask)
+    def _publish(self, cycle: SensingCycle, dataset: DisasterDataset,
+                 crowd: _CrowdBatch, fused: _Fused, votes: list[np.ndarray],
+                 counters: ResilienceCounters, gcounters: GuardCounters,
+                 cache_before: dict | None, jrn, tel: Telemetry) -> CycleOutcome:
+        """Final labels, the cycle's metrics and its outcome.
+
+        The reweighted committee labels every image and the crowd's labels
+        override the query set's, unless the drift detector flagged them:
+        labels too anomalous to train on are too anomalous to publish.
+        """
+        query_indices = crowd.query_indices
+        committee_vote = self.committee.committee_vote(dataset, votes,
+                                                       mask=fused.mask)
         committee_labels = np.argmax(committee_vote, axis=1)
-        if flagged and guard.policy.drift_skips_offload and self.mic.offload:
+        if (fused.flagged and self.guards.policy.drift_skips_offload
+                and self.mic.offload):
             gcounters.offloads_skipped += 1
-            final_labels = committee_labels
-            final_scores = committee_vote
+            final_labels, final_scores = committee_labels, committee_vote
         else:
             final_labels = self.mic.offload_labels(
-                committee_labels, query_indices, truthful
+                committee_labels, query_indices, fused.labels
             )
             final_scores = self.mic.offload_distributions(
-                committee_vote, query_indices, truth_dists
+                committee_vote, query_indices, fused.distributions
             )
+        delays = [self._observed_delay(r) for r in crowd.results]
+        crowd_delay = float(np.mean(delays)) if delays else 0.0
         if tel.enabled:
-            tel.counter(
-                "cycles_total", help="sensing cycles completed"
-            ).inc()
-            tel.counter(
-                "queries_posted_total", help="crowd queries paid and kept"
-            ).inc(len(results))
-            tel.counter(
-                "responses_total", help="worker responses received"
-            ).inc(sum(len(r.responses) for r in results))
-            tel.counter(
-                "cost_cents_total", help="crowd spend charged (cents)"
-            ).inc(cost)
-            for paid in incentives:
-                tel.histogram(
-                    "incentive_cents", help="paid incentive per query",
-                    buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
-                ).observe(paid)
-            if crowd_delay:
-                tel.histogram(
-                    "crowd_delay_seconds", help="mean crowd delay per cycle",
-                ).observe(crowd_delay)
-            tel.gauge(
-                "budget_remaining_cents", help="ledger budget left"
-            ).set(self.ledger.remaining)
-            # Bridge the cycle's resilience interventions into the registry.
-            tel.merge_counters(
-                {f"{k}_total": v for k, v in counters.as_dict().items()},
-                prefix="resilience_",
-                help="resilience interventions (see repro.core.resilience)",
-            )
-            if guard is not None:
-                tel.merge_counters(
-                    {f"{k}_total": v for k, v in gcounters.as_dict().items()},
-                    prefix="guard_",
-                    help="guard interventions (see repro.core.guards)",
-                )
-            if cache_stats_before is not None:
-                after = cache.stats()
-                tel.merge_counters(
-                    {
-                        f"{k}_total": after[k] - v
-                        for k, v in cache_stats_before.items()
-                    },
-                    prefix="cache_",
-                    help="prediction/feature cache activity "
-                    "(see repro.core.cache)",
-                )
-        if jrn is not None:
-            jrn.append(cycle.index, "cycle_end", {"cost_cents": float(cost)})
+            self._export_cycle_metrics(tel, crowd, crowd_delay, counters,
+                                       gcounters, cache_before)
+        jrn.append(cycle.index, "cycle_end", {"cost_cents": float(crowd.cost)})
         return CycleOutcome(
             cycle_index=cycle.index,
             context=cycle.context,
-            true_labels=true_labels,
+            true_labels=dataset.labels(),
             final_labels=final_labels,
             final_scores=final_scores,
             query_indices=query_indices,
-            incentives_cents=np.array(incentives),
+            incentives_cents=np.array(crowd.incentives),
             crowd_delay=crowd_delay,
-            cost_cents=cost,
+            cost_cents=crowd.cost,
             expert_weights=self.committee.weights,
             resilience=counters,
             guards=gcounters,
         )
+
+    def _export_cycle_metrics(self, tel: Telemetry, crowd: _CrowdBatch,
+                              crowd_delay: float, counters: ResilienceCounters,
+                              gcounters: GuardCounters,
+                              cache_before: dict | None) -> None:
+        """Bridge one cycle's spend, interventions and cache activity."""
+        for name, help_text, amount in (
+            ("cycles_total", "sensing cycles completed", 1.0),
+            ("queries_posted_total", "crowd queries paid and kept",
+             len(crowd.results)),
+            ("responses_total", "worker responses received",
+             sum(len(r.responses) for r in crowd.results)),
+            ("cost_cents_total", "crowd spend charged (cents)", crowd.cost),
+        ):
+            tel.counter(name, help=help_text).inc(amount)
+        for paid in crowd.incentives:
+            tel.histogram(
+                "incentive_cents", help="paid incentive per query",
+                buckets=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
+            ).observe(paid)
+        if crowd_delay:
+            tel.histogram(
+                "crowd_delay_seconds", help="mean crowd delay per cycle",
+            ).observe(crowd_delay)
+        tel.gauge(
+            "budget_remaining_cents", help="ledger budget left"
+        ).set(self.ledger.remaining)
+        tel.merge_counters(
+            {f"{k}_total": v for k, v in counters.as_dict().items()},
+            prefix="resilience_",
+            help="resilience interventions (see repro.core.resilience)",
+        )
+        if self.guards is not None:
+            tel.merge_counters(
+                {f"{k}_total": v for k, v in gcounters.as_dict().items()},
+                prefix="guard_",
+                help="guard interventions (see repro.core.guards)",
+            )
+        if cache_before is not None:
+            after = self.cache.stats()
+            tel.merge_counters(
+                {f"{k}_total": after[k] - v for k, v in cache_before.items()},
+                prefix="cache_",
+                help="prediction/feature cache activity (see repro.core.cache)",
+            )
 
     def run(
         self,
@@ -1127,11 +1132,6 @@ class CrowdLearnSystem:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
-        if checkpoint_path is None and journal is None:
-            outcome = RunOutcome()
-            for cycle in stream:
-                outcome.append(self.run_cycle(cycle))
-            return outcome
         return self._run_from(stream, RunOutcome(), 0, checkpoint_path,
                               checkpoint_every, journal=journal)
 

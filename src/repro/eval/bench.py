@@ -136,7 +136,7 @@ def _scheduler_benchmark(setup) -> dict[str, Any]:
     }
 
 
-def _retrain_benchmark(setup) -> dict[str, Any]:
+def _retrain_benchmark(setup, repeats: int) -> dict[str, Any]:
     """A/B the retrain hot path: cold refits vs warm start.
 
     Both arms share the same platform seed and sensing stream (named RNG
@@ -147,6 +147,10 @@ def _retrain_benchmark(setup) -> dict[str, Any]:
     sample`` (periodic full refits included).  CI gates the retrain-stage
     speedup; macro-F1 is reported per arm so accuracy regressions are
     visible in the artifact.
+
+    The arms run interleaved, ``repeats`` times each, and each arm reports
+    its run with the lowest ``fit_seconds``: one slow run on a shared
+    machine must not decide the gate.
     """
     import dataclasses
 
@@ -179,15 +183,25 @@ def _retrain_benchmark(setup) -> dict[str, Any]:
             "macro_f1": float(macro_f1(y_true, y_pred)) if len(y_true) else 0.0,
         }, system
 
-    cold, _ = run_arm(setup.config)
-    warm, warm_system = run_arm(
-        dataclasses.replace(setup.config, mic_warm_start=True)
-    )
+    configs = {
+        "cold": setup.config,
+        "warm": dataclasses.replace(setup.config, mic_warm_start=True),
+    }
+    best: dict[str, tuple[dict[str, Any], Any]] = {}
+    for _ in range(repeats):
+        for arm, config in configs.items():
+            arm_report, system = run_arm(config)
+            fit = arm_report["fit_seconds"]
+            if arm not in best or fit < best[arm][0]["fit_seconds"]:
+                best[arm] = arm_report, system
+    cold, _ = best["cold"]
+    warm, warm_system = best["warm"]
 
     def ratio(a: float, b: float) -> float:
         return a / b if b > 0 else float("inf")
 
     return {
+        "repeats": repeats,
         "cold": cold,
         "warm": warm,
         # The gated number: how much faster the experts are *refit* — the
@@ -289,7 +303,7 @@ def run_bench(
             "cache": cache.stats() if cache is not None else {},
         },
         "committee_vote": _vote_benchmark(setup, repeats),
-        "retrain": _retrain_benchmark(setup),
+        "retrain": _retrain_benchmark(setup, repeats),
         "journal": _journal_benchmark(setup),
     }
     if scheduler:
@@ -347,7 +361,7 @@ def render_bench(report: dict[str, Any]) -> str:
         stats = ab.get("warm_stats", {})
         lines += [
             "",
-            "retrain A/B: "
+            f"retrain A/B (best of {ab['repeats']}): "
             f"expert refit cold {ab['cold']['fit_seconds']:.2f}s -> "
             f"warm {ab['warm']['fit_seconds']:.2f}s "
             f"({ab['fit_speedup']:.1f}x); "

@@ -18,9 +18,9 @@ from repro.nn.layers import (
     col2im,
     im2col,
 )
-from repro.nn.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy, softmax
+from repro.nn.losses import Loss, SoftmaxCrossEntropy, softmax
 from repro.nn.model import Sequential
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.trainer import Trainer, TrainingHistory
 
 __all__ = [
@@ -37,11 +37,9 @@ __all__ = [
     "col2im",
     "im2col",
     "Loss",
-    "MeanSquaredError",
     "SoftmaxCrossEntropy",
     "softmax",
     "Sequential",
-    "SGD",
     "Adam",
     "Optimizer",
     "Trainer",

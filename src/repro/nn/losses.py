@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "softmax"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "softmax"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -78,25 +78,3 @@ class SoftmaxCrossEntropy(Loss):
             raise RuntimeError("backward called before forward")
         batch = self._probs.shape[0]
         return (self._probs - self._targets) / batch
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} "
-                f"vs targets {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size

@@ -931,10 +931,7 @@ class CrowdLearnService:
                 # Checkpointed systems drop cache entries on pickle; give
                 # the restored system its namespaced view of the shared
                 # physical stores again.
-                system.cache = service.cache.scoped(event_id)
-                system.committee.attach_cache(system.cache)
-                if system.guards is not None:
-                    system.guards.cache = system.cache
+                system.attach_cache(service.cache.scoped(event_id))
             injector = getattr(system.platform, "faults", None)
             if injector is not None:
                 injector.disarm_crashes()

@@ -29,6 +29,26 @@ from repro.utils.rng import SeedSequencer
 SEED = 7
 N_CYCLES = 3
 
+#: Config overrides per crash arm.  ``tight`` runs the virtual-time
+#: scheduler with 100 s cycles, so every answer arrives late: the crowd
+#: stages run without CQC, and the retrain is fed by stragglers alone.
+ARMS = {
+    "sync": {},
+    "tight": dict(scheduler_enabled=True, cycle_seconds=100.0,
+                  straggler_max_cycles=10),
+}
+
+#: The tight arm's journaled stages per cycle: cycles 0-1 are all-late
+#: (nothing to fuse, guard or retrain); cycle 2 is straggler-only.
+TIGHT_STAGES = {
+    0: ["cycle_start", "harvest", "qss"] + ["post_intent", "post"] * 2
+    + ["cycle_end"],
+    1: ["cycle_start", "harvest", "qss"] + ["post_intent", "post"] * 2
+    + ["cycle_end"],
+    2: ["cycle_start", "harvest", "qss"] + ["post_intent", "post"] * 2
+    + ["retrain", "cycle_end"],
+}
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -38,11 +58,8 @@ def setup():
     return prepare(seed=SEED, config=config, fast=True)
 
 
-def build(setup, crash_spec=None, scheduler=False):
-    config = setup.config
-    if scheduler:
-        config = dataclasses.replace(config, scheduler_enabled=True)
-    system = build_crowdlearn(setup, config=config)
+def build(setup, config=None, crash_spec=None):
+    system = build_crowdlearn(setup, config=config or setup.config)
     if crash_spec is not None:
         plan = FaultPlan(crash_points=(CrashPoint.parse(crash_spec),))
         system.platform.faults = FaultInjector(
@@ -53,16 +70,27 @@ def build(setup, crash_spec=None, scheduler=False):
 
 @pytest.fixture(scope="module")
 def reference(setup, tmp_path_factory):
-    """Uninterrupted journaled run: the parity digest + every boundary."""
-    tmp = tmp_path_factory.mktemp("crash-reference")
-    system = build(setup)
-    journal = CycleJournal.create(tmp / "ref.journal")
-    try:
-        outcome = system.run(setup.make_stream("crash-ref"), journal=journal)
-    finally:
-        journal.close()
-    records = read_journal(tmp / "ref.journal").records
-    return run_outcome_digest(outcome), records
+    """Uninterrupted journaled run per config: the parity digest + every
+    boundary.  Called with a config (the setup's when omitted); each
+    config runs once per module."""
+    runs = {}
+
+    def run(config=None):
+        config = config or setup.config
+        if config not in runs:
+            tmp = tmp_path_factory.mktemp("crash-reference")
+            system = build(setup, config)
+            journal = CycleJournal.create(tmp / "ref.journal")
+            try:
+                outcome = system.run(setup.make_stream("crash-ref"),
+                                     journal=journal)
+            finally:
+                journal.close()
+            records = read_journal(tmp / "ref.journal").records
+            runs[config] = run_outcome_digest(outcome), records
+        return runs[config]
+
+    return run
 
 
 def boundary_specs(records):
@@ -80,12 +108,12 @@ def boundary_specs(records):
 
 
 def crash_then_resume(setup, spec, tmp_path, checkpoint_every=1,
-                      scheduler=False):
+                      config=None):
     """Run until the injected crash, then resume from journal+checkpoint."""
     safe = spec.replace(":", "_").replace("*", "any")
     ckpt = tmp_path / f"{safe}.ckpt"
     jrn = tmp_path / f"{safe}.journal"
-    system = build(setup, crash_spec=spec, scheduler=scheduler)
+    system = build(setup, config, crash_spec=spec)
     journal = CycleJournal.create(
         jrn, crash_injector=system.platform.faults
     )
@@ -103,10 +131,7 @@ def crash_then_resume(setup, spec, tmp_path, checkpoint_every=1,
     crashed_before_checkpoint = not ckpt.exists()
 
     def fresh():
-        return (
-            build(setup, scheduler=scheduler),
-            setup.make_stream("crash-ref"),
-        )
+        return build(setup, config), setup.make_stream("crash-ref")
 
     result = resume_run(
         ckpt, jrn, checkpoint_every=checkpoint_every, fresh=fresh
@@ -114,18 +139,33 @@ def crash_then_resume(setup, spec, tmp_path, checkpoint_every=1,
     return result, crashed_before_checkpoint
 
 
+def stages_by_cycle(records):
+    """Journaled stage names per cycle, in order (rotations excluded)."""
+    stages = {}
+    for record in records:
+        if record["stage"] != "rotate":
+            stages.setdefault(record["cycle"], []).append(record["stage"])
+    return stages
+
+
 class TestEveryBoundary:
+    @pytest.mark.parametrize("arm", list(ARMS))
     def test_killed_at_every_boundary_resumes_to_same_digest(
-        self, setup, reference, tmp_path
+        self, setup, reference, tmp_path, arm
     ):
-        ref_digest, records = reference
+        config = dataclasses.replace(setup.config, **ARMS[arm])
+        ref_digest, records = reference(config)
         specs = boundary_specs(records)
-        # 3 cycles x (cycle_start, qss, 3x(post_intent+post), cqc, guard,
-        # retrain, cycle_end) boundaries
-        assert len(specs) >= N_CYCLES * 10
+        if arm == "tight":
+            assert stages_by_cycle(records) == TIGHT_STAGES
+        else:
+            # 3 cycles x (cycle_start, qss, 2x(post_intent+post), cqc,
+            # guard, retrain, cycle_end) boundaries
+            assert len(specs) >= N_CYCLES * 10
         fresh_recoveries = 0
         for spec in specs:
-            result, was_fresh = crash_then_resume(setup, spec, tmp_path)
+            result, was_fresh = crash_then_resume(setup, spec, tmp_path,
+                                                  config=config)
             fresh_recoveries += was_fresh
             assert run_outcome_digest(result.outcome) == ref_digest, spec
             audit = result.info["audit"]
@@ -142,7 +182,7 @@ class TestEveryBoundary:
     def test_crash_at_rotation_boundary(self, setup, reference, tmp_path):
         """A crash right after checkpoint+rotate resumes with nothing to
         replay — the snapshot already covers every journaled effect."""
-        ref_digest, _ = reference
+        ref_digest, _ = reference()
         result, _ = crash_then_resume(setup, "rotate:1:0:raise", tmp_path)
         assert run_outcome_digest(result.outcome) == ref_digest
         assert result.info["replayed_records"] == 0
@@ -152,7 +192,7 @@ class TestEveryBoundary:
         self, setup, reference, tmp_path
     ):
         """checkpoint_every=2: the journal alone carries cycle 2's posts."""
-        ref_digest, _ = reference
+        ref_digest, _ = reference()
         result, _ = crash_then_resume(
             setup, "cqc:2:0:raise", tmp_path, checkpoint_every=2
         )
@@ -168,9 +208,10 @@ class TestEveryBoundary:
         """The virtual-time scheduler keeps the scheduler-off parity
         guarantee across a crash: pending straggler events travel through
         the checkpoint and journaled posts restore their heap entries."""
-        ref_digest, _ = reference
+        ref_digest, _ = reference()
         result, _ = crash_then_resume(
-            setup, "post:1:1:raise", tmp_path, scheduler=True
+            setup, "post:1:1:raise", tmp_path,
+            config=dataclasses.replace(setup.config, scheduler_enabled=True),
         )
         assert run_outcome_digest(result.outcome) == ref_digest
         assert result.info["audit"]["ok"]

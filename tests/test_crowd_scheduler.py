@@ -3,15 +3,15 @@
 Covers :mod:`repro.crowd.scheduler` itself (event ordering, harvest,
 expiry, snapshots), the clock's forwards-only ``advance_to``, the delay
 model's analytic lateness tail, and the platform-level straggler paths:
-late responses becoming pending events, harvest recording (deduped)
-history, and batch posting that survives mid-batch faults.
+late responses becoming pending events and harvest recording (deduped)
+history.
 """
 
 import numpy as np
 import pytest
 
 from repro.crowd.delay import DelayModel
-from repro.crowd.platform import BatchPostResult, CrowdsourcingPlatform
+from repro.crowd.platform import CrowdsourcingPlatform
 from repro.crowd.quality import QualityModel
 from repro.crowd.scheduler import PendingResponse, VirtualTimeScheduler
 from repro.crowd.tasks import (
@@ -315,59 +315,3 @@ class TestPlatformScheduling:
 
         result = QueryResult(query=query(), responses=[response(0, 100.0)])
         assert result.realized_mean_delay() == result.mean_delay
-
-
-class TestBatchPosting:
-    def test_batch_forwards_deadline(self, population):
-        platform = make_platform(population)
-        batch = platform.post_queries(
-            [meta(i) for i in range(3)],
-            1.0,
-            TemporalContext.MORNING,
-            deadline_seconds=300.0,
-        )
-        assert batch.ok
-        assert len(batch) == 3
-        for result in batch:
-            assert result.deadline_seconds == 300.0
-
-    def test_batch_keeps_partial_results_on_budget_exhausted(self, population):
-        from repro.bandit.budget import BudgetExhausted, BudgetLedger
-
-        platform = make_platform(population)
-        ledger = BudgetLedger(total=20.0)  # 2 posts of 8c, not 3
-        batch = platform.post_queries(
-            [meta(i) for i in range(3)],
-            8.0,
-            TemporalContext.EVENING,
-            ledger=ledger,
-        )
-        assert not batch.ok
-        assert isinstance(batch.error, BudgetExhausted)
-        assert len(batch) == 2  # the completed work survives
-
-    def test_batch_keeps_partial_results_on_outage(self, population):
-        from repro.crowd.faults import (
-            FaultInjector,
-            FaultPlan,
-            PlatformUnavailable,
-        )
-
-        injector = FaultInjector(
-            FaultPlan(outage_windows=((2, 100),)),
-            rng=np.random.default_rng(0),
-        )
-        platform = make_platform(population)
-        platform.faults = injector
-        batch = platform.post_queries(
-            [meta(i) for i in range(5)], 8.0, TemporalContext.EVENING
-        )
-        assert not batch.ok
-        assert isinstance(batch.error, PlatformUnavailable)
-        assert len(batch) == 2  # posts 0 and 1 landed before the outage
-
-    def test_batch_result_is_sequence_like(self):
-        batch = BatchPostResult()
-        assert batch.ok
-        assert len(batch) == 0
-        assert list(batch) == []
